@@ -245,7 +245,7 @@ func (p *Predictive) ScheduleTable(n *tempest.Node) *schedule.Table { return pst
 // pendingBulk accumulates coalesced pre-send data for one destination.
 type pendingBulk struct {
 	lastBlock memory.Block
-	entries   []tempest.BulkEntry
+	bulk      tempest.MsgBulk // nil body until the first entry
 }
 
 // runPresend executes the pre-send walk on n's protocol processor.
@@ -265,15 +265,16 @@ func (p *Predictive) runPresend(n *tempest.Node, phase int) {
 	}
 	flush := func(dst int) {
 		pb := &ns.bulks[dst]
-		if len(pb.entries) == 0 {
+		if pb.bulk.Bulk == nil {
 			return
 		}
-		// The message takes ownership of the pooled buffer; the receiver
+		// The message takes ownership of the pooled body; the receiver
 		// returns it after installing the entries. PostBulk diverts
 		// cross-group bulks into the node-leader aggregation buffer when
 		// rt.Config.Aggregate is on.
-		msg := tempest.MsgBulk{Entries: pb.entries, Presend: true}
-		pb.entries = nil
+		msg := pb.bulk
+		msg.Presend = true
+		pb.bulk = tempest.MsgBulk{}
 		n.PostBulk(n.ProtoProc, n.Peers[dst], msg)
 		n.Stats.BulkMsgs++
 	}
@@ -287,13 +288,13 @@ func (p *Predictive) runPresend(n *tempest.Node, phase int) {
 			return
 		}
 		pb := &ns.bulks[dst]
-		if len(pb.entries) > 0 && !n.AS.Contiguous(pb.lastBlock, b) {
+		if pb.bulk.Bulk != nil && !n.AS.Contiguous(pb.lastBlock, b) {
 			flush(dst)
 		}
-		if pb.entries == nil {
-			pb.entries = tempest.GetBulkEntries()
+		if pb.bulk.Bulk == nil {
+			pb.bulk = tempest.GetBulk()
 		}
-		pb.entries = append(pb.entries, tempest.BulkEntry{Block: b, Data: data})
+		pb.bulk.Entries = append(pb.bulk.Entries, tempest.BulkEntry{Block: b, Data: data})
 		pb.lastBlock = b
 		n.Stats.PresendsSent++
 	}

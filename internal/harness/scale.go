@@ -177,25 +177,27 @@ func init() {
 	})
 }
 
-func runScale(o Options) (*Result, error) {
-	res := &Result{ID: "scale", Title: "Scaling curve to 1024 nodes", Curve: &ScalingCurve{}}
+// scaleCell runs one cell of the curve and returns its finished machine.
+func scaleCell(o Options, preset string, n int, agg bool) (*rt.Machine, error) {
 	iters, hubs := 4, 4
 	if o.Scale == Paper {
 		iters = 12
 	}
-	run := func(preset string, n int, agg bool) (*rt.Machine, error) {
-		net, err := network.Preset(preset)
-		if err != nil {
-			return nil, err
-		}
-		cfg := o.machine(rt.Config{Nodes: n, BlockSize: 32, Protocol: rt.ProtoUpdate, Net: net})
-		cfg.Aggregate = agg
-		m := rt.New(cfg)
-		if err := m.Run(scaleProg(m, iters, hubs)); err != nil {
-			return nil, fmt.Errorf("%s n=%d agg=%v: %w", preset, n, agg, err)
-		}
-		return m, nil
+	net, err := network.Preset(preset)
+	if err != nil {
+		return nil, err
 	}
+	cfg := o.machine(rt.Config{Nodes: n, BlockSize: 32, Protocol: rt.ProtoUpdate, Net: net})
+	cfg.Aggregate = agg
+	m := rt.New(cfg)
+	if err := m.Run(scaleProg(m, iters, hubs)); err != nil {
+		return nil, fmt.Errorf("%s n=%d agg=%v: %w", preset, n, agg, err)
+	}
+	return m, nil
+}
+
+func runScale(o Options) (*Result, error) {
+	res := &Result{ID: "scale", Title: "Scaling curve to 1024 nodes", Curve: &ScalingCurve{}}
 	type cell struct{ off, on ScalingPoint }
 	last := map[string]cell{} // per topology, the largest machine's pair
 	for _, n := range scaleNodeCounts {
@@ -207,7 +209,7 @@ func runScale(o Options) (*Result, error) {
 			var pair cell
 			var hash [2]uint64
 			for i, agg := range []bool{false, true} {
-				m, err := run(preset, n, agg)
+				m, err := scaleCell(o, preset, n, agg)
 				if err != nil {
 					return nil, err
 				}

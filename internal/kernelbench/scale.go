@@ -1,6 +1,7 @@
 // Kilonode-scale benchmarks: the hot paths the 1024-node tentpole
 // leans on — the node-leader aggregation flush, the sized timing wheel
-// under a 1024-proc event population, and the batched barrier release —
+// under a 1024-proc event population, the batched barrier release and a
+// write-update push to 1023 sharers —
 // plus the cross-group message-reduction guard that pins the paper's
 // aggregation claim as a counter ratio rather than a wall-clock bound.
 package kernelbench
@@ -14,6 +15,7 @@ import (
 	"presto/internal/rt"
 	"presto/internal/sim"
 	"presto/internal/tempest"
+	"presto/internal/update"
 )
 
 // scaleCases returns the kilonode workloads in stable order.
@@ -22,6 +24,7 @@ func scaleCases() []Case {
 		{"agg_flush64", benchAggFlush64, true},
 		{"wheel1024_burst", benchWheel1024Burst, false},
 		{"barrier1024_release", benchBarrier1024, true},
+		{"update_push1024", benchUpdatePush1024, true},
 	}
 }
 
@@ -78,7 +81,7 @@ func benchAggFlush64(b *testing.B) {
 	for i := range entries {
 		entries[i] = tempest.BulkEntry{Block: r.BlockAt(int64(i)), Data: make([]byte, 32)}
 	}
-	bulk := tempest.MsgBulk{Entries: entries}
+	bulk := tempest.MsgBulk{Bulk: &tempest.Bulk{Entries: entries}}
 	n := b.N
 	k.Spawn("driver", func(p *sim.Proc) {
 		sent := 0
@@ -100,6 +103,72 @@ func benchAggFlush64(b *testing.B) {
 	if all[0].Stats.AggMsgs == 0 || all[0].AggPending() != 0 {
 		b.Fatalf("aggregation not exercised: %d aggs, %d pending",
 			all[0].Stats.AggMsgs, all[0].AggPending())
+	}
+}
+
+// benchUpdatePush1024 is a write-update push on a 1024-node machine: the
+// home of one block pushes it to its 1023 recorded sharers, and every
+// sharer's protocol processor installs the copy. One op is one push end
+// to end (destination grouping, 1023 bulk messages with their payload
+// copies, delivery and install). Guarded: Push's grouping scratch, the
+// bulk bodies and their payload slabs are all recycled, so a push in
+// steady state allocates nothing — and its cost follows the sharers it
+// touches, not a per-call table sized to the machine.
+func benchUpdatePush1024(b *testing.B) {
+	const (
+		nodes = 1024
+		drain = 100 * sim.Microsecond // every delivery lands within this
+		warm  = 32                    // untimed pushes before steady state
+	)
+	b.ReportAllocs()
+	net := network.CM5()
+	k := sim.NewKernel()
+	k.UseSchedulerSized(sim.SchedWheel, net.MinLatency(), 2*nodes)
+	as := memory.NewAddressSpace(nodes, 32)
+	r := as.NewRegion("push", 32, func(int64) int { return 0 })
+	u := update.New()
+	all := make([]*tempest.Node, nodes)
+	for i := range all {
+		all[i] = tempest.NewNode(i, as, net, u)
+	}
+	for _, n := range all {
+		n.Peers = all
+		u.Init(n)
+		n.ProtoProc = k.Spawn(fmt.Sprintf("proto%d", n.ID), n.ProtocolLoop)
+		n.ProtoProc.SetDaemon(true)
+	}
+	blk := r.BlockAt(0)
+	e := all[0].Dir.Entry(blk)
+	for i := 1; i < nodes; i++ {
+		e.Sharers.Add(i)
+	}
+	blocks := []memory.Block{blk}
+	home, n := all[0], b.N
+	home.Compute = k.Spawn("push", func(p *sim.Proc) {
+		// The first push materializes the sharers' lines and grows their
+		// mailboxes; the next few fill the body pool's per-CPU rings and
+		// grow the recycled payload slabs. The timed pushes reuse all of
+		// it. The timer stops before the run ends, so releasing the
+		// machine's goroutines is not charged to the pushes either.
+		for i := 0; i < warm; i++ {
+			u.Push(home, p, blocks)
+			p.Sleep(drain)
+		}
+		b.ResetTimer()
+		for i := 0; i < n; i++ {
+			u.Push(home, p, blocks)
+			p.Sleep(drain)
+		}
+		b.StopTimer()
+	})
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if got, want := home.Stats.BulkMsgs, int64((n+warm)*(nodes-1)); got != want {
+		b.Fatalf("%d bulk messages, want %d", got, want)
+	}
+	if all[nodes-1].Store.Tag(blk) != memory.ReadOnly {
+		b.Fatal("last sharer holds no read-only copy after the push")
 	}
 }
 

@@ -253,7 +253,7 @@ func (s *Store) slowLine(rid int, idx int64, create bool) *Line {
 	}
 	ch := s.lines[rid][idx>>chunkBits]
 	if ch == nil {
-		ch = make([]*Line, chunkSize)
+		ch = make([]*Line, s.chunkLen(rid, idx))
 		s.lines[rid][idx>>chunkBits] = ch
 	}
 	l := ch[idx&(chunkSize-1)]
@@ -265,6 +265,18 @@ func (s *Store) slowLine(rid int, idx int64, create bool) *Line {
 		ch[idx&(chunkSize-1)] = l
 	}
 	return l
+}
+
+// chunkLen sizes the chunk holding block idx: chunkSize lines, or fewer
+// for a region's last chunk. A region smaller than one chunk — every
+// region of a small problem on a kilonode machine — then costs each node
+// one pointer per block rather than a full chunk.
+func (s *Store) chunkLen(rid int, idx int64) int {
+	base := idx &^ (chunkSize - 1)
+	if rest := s.as.regions[rid].NumBlocks() - base; rest < chunkSize {
+		return int(rest)
+	}
+	return chunkSize
 }
 
 // Line returns the node's line for block b, or nil if none materialized.

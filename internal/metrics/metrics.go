@@ -207,6 +207,14 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// AddCounter registers c, an instrument its owner keeps in its own
+// state, under name (replacing any counter of that name).
+func (r *Registry) AddCounter(name string, c *Counter) { r.counters[name] = c }
+
+// AddHistogram registers h, an instrument its owner keeps in its own
+// state, under name (replacing any histogram of that name).
+func (r *Registry) AddHistogram(name string, h *Histogram) { r.hists[name] = h }
+
 // CounterValue is one counter in a snapshot.
 type CounterValue struct {
 	Name  string `json:"name"`

@@ -225,9 +225,6 @@ type Machine struct {
 
 	// Ring is the shared protocol trace when Cfg.Trace > 0.
 	Ring *trace.Ring
-	// Reg is the machine's metrics registry; every node's instruments
-	// register here under an "nNN/" prefix.
-	Reg *metrics.Registry
 
 	barrier *sim.Barrier
 	// paddedStride maps block-padded array regions to their element
@@ -251,7 +248,6 @@ func New(cfg Config) *Machine {
 		Cfg:        c,
 		Kernel:     sim.NewKernel(),
 		AS:         memory.NewAddressSpace(c.Nodes, c.BlockSize),
-		Reg:        metrics.New(),
 		phaseNames: make(map[int]string),
 	}
 	switch c.Protocol {
@@ -329,6 +325,31 @@ func (m *Machine) Run(prog Program) error {
 	default:
 		return fmt.Errorf("rt: unknown scheduler %q", c.Sched)
 	}
+	// Resolve the engine before spawning anything: an error after the
+	// spawn would return with 2N Proc goroutines the kernel never runs.
+	// A lane is the unit of concurrent execution. On a flat interconnect
+	// each node is a lane: a node's compute and protocol processors share
+	// state (Store, Dir, Stats, metrics), so they must execute on the same
+	// lane. On a clustered interconnect the lane is a whole node group —
+	// coarsening to the interconnect partition makes every lane pair
+	// cross-group, so the pair lookahead matrix bounds windows by the
+	// (large) top-level transit instead of the intra-group minimum.
+	gsize := 1
+	switch c.Engine {
+	case EngineSerial:
+	case EngineParallel:
+		if c.Net.Clustered() {
+			gsize = c.Net.GroupSize
+		}
+		m.lanes = c.Nodes / gsize
+		workers, err := effectiveWorkers(c.Workers, m.lanes)
+		if err != nil {
+			return err
+		}
+		m.workers = workers
+	default:
+		return fmt.Errorf("rt: unknown engine %q", c.Engine)
+	}
 	m.Kernel.MaxEvents = c.MaxEvents
 	var ring *trace.Ring
 	if c.Trace > 0 {
@@ -346,7 +367,6 @@ func (m *Machine) Run(prog Program) error {
 			n.Dir = tempest.NewDirectoryRef(m.AS)
 		}
 		n.Trace = sink
-		n.UseMetrics(m.Reg)
 		if c.Record {
 			n.Rec = tempest.NewCommRecord()
 		}
@@ -395,67 +415,44 @@ func (m *Machine) Run(prog Program) error {
 			n.Prof = np.slot
 		}
 	}
-	switch c.Engine {
-	case EngineSerial:
+	if c.Engine == EngineSerial {
 		return m.Kernel.Run()
-	case EngineParallel:
-		// A lane is the unit of concurrent execution. On a flat
-		// interconnect each node is a lane: a node's compute and protocol
-		// processors share state (Store, Dir, Stats, metrics), so they
-		// must execute on the same lane. On a clustered interconnect the
-		// lane is a whole node group — coarsening to the interconnect
-		// partition makes every lane pair cross-group, so the pair
-		// lookahead matrix bounds windows by the (large) top-level
-		// transit instead of the intra-group minimum.
-		gsize := 1
-		if c.Net.Clustered() {
-			gsize = c.Net.GroupSize
-		}
-		lanes := c.Nodes / gsize
-		workers, err := effectiveWorkers(c.Workers, lanes)
-		if err != nil {
-			return err
-		}
-		m.workers = workers
-		m.lanes = lanes
-		// Spawn order is protos 0..N-1 then computes N..2N-1, so ID mod
-		// Nodes maps both of node i's procs to node i, and dividing by
-		// the group size folds a group's nodes onto one lane.
-		pcfg := sim.ParallelConfig{
-			Workers:           workers,
-			Lanes:             lanes,
-			LaneOf:            func(p *sim.Proc) int { return (p.ID() % c.Nodes) / gsize },
-			NoSteal:           c.NoSteal,
-			MutateReverseRuns: c.ChaosMutation == MutationStealReverseRun,
-		}
-		switch {
-		case lanes == 1:
-			// One lane has no cross-lane hazards; any positive window is
-			// conservative. The barrier cost is a comfortably wide one.
-			pcfg.Lookahead = c.Net.BarrierLatency
-		case c.Lookahead == LookaheadGlobal:
-			pcfg.Lookahead = c.Net.MinLatency()
-		default:
-			pcfg.PairLookahead = func(i, j int) sim.Time {
-				return c.Net.PairMinLatency(i*gsize, j*gsize)
-			}
-			// The executed width is the matrix's narrowest row. Every
-			// lane pair of a clustered machine crosses groups (uniform
-			// cost); on a flat one the matrix collapses to the global
-			// minimum.
-			if c.Net.Clustered() {
-				m.lookahead = c.Net.PairMinLatency(0, gsize)
-			} else {
-				m.lookahead = c.Net.MinLatency()
-			}
-		}
-		if pcfg.Lookahead > 0 {
-			m.lookahead = pcfg.Lookahead
-		}
-		return m.Kernel.RunParallel(pcfg)
-	default:
-		return fmt.Errorf("rt: unknown engine %q", c.Engine)
 	}
+	// Spawn order is protos 0..N-1 then computes N..2N-1, so ID mod
+	// Nodes maps both of node i's procs to node i, and dividing by
+	// the group size folds a group's nodes onto one lane.
+	pcfg := sim.ParallelConfig{
+		Workers:           m.workers,
+		Lanes:             m.lanes,
+		LaneOf:            func(p *sim.Proc) int { return (p.ID() % c.Nodes) / gsize },
+		NoSteal:           c.NoSteal,
+		MutateReverseRuns: c.ChaosMutation == MutationStealReverseRun,
+	}
+	switch {
+	case m.lanes == 1:
+		// One lane has no cross-lane hazards; any positive window is
+		// conservative. The barrier cost is a comfortably wide one.
+		pcfg.Lookahead = c.Net.BarrierLatency
+	case c.Lookahead == LookaheadGlobal:
+		pcfg.Lookahead = c.Net.MinLatency()
+	default:
+		pcfg.PairLookahead = func(i, j int) sim.Time {
+			return c.Net.PairMinLatency(i*gsize, j*gsize)
+		}
+		// The executed width is the matrix's narrowest row. Every
+		// lane pair of a clustered machine crosses groups (uniform
+		// cost); on a flat one the matrix collapses to the global
+		// minimum.
+		if c.Net.Clustered() {
+			m.lookahead = c.Net.PairMinLatency(0, gsize)
+		} else {
+			m.lookahead = c.Net.MinLatency()
+		}
+	}
+	if pcfg.Lookahead > 0 {
+		m.lookahead = pcfg.Lookahead
+	}
+	return m.Kernel.RunParallel(pcfg)
 }
 
 // effectiveWorkers resolves the requested parallel-engine worker count
@@ -736,8 +733,19 @@ func (m *Machine) Report() MetricsReport {
 		Counters:  m.Counters(),
 		Phases:    m.PhaseBreakdown(),
 		Kernel:    m.Kernel.Stats(),
-		Registry:  m.Reg.Snapshot(),
+		Registry:  m.registry().Snapshot(),
 	}
+}
+
+// registry publishes every node's instruments under an "nNN/" prefix.
+// It is built per report, so a running or finished machine holds no
+// registry of its own.
+func (m *Machine) registry() *metrics.Registry {
+	reg := metrics.New()
+	for _, n := range m.Nodes {
+		n.Met.Register(reg, n.ID)
+	}
+	return reg
 }
 
 // SnapshotBlock returns the authoritative contents of the block

@@ -1,5 +1,7 @@
 package sim
 
+import "runtime"
+
 // Direct-dispatch event loop.
 //
 // The serial engine used to bounce every event through a dedicated
@@ -110,6 +112,11 @@ func (k *Kernel) serialNext(self *Proc) dispatchOutcome {
 // caller must have set its state (blocked/sleeping) beforehand; yield
 // returns when an event reactivates the Proc.
 func (p *Proc) yield() {
+	if p.k.released {
+		// A deferred call of a released Proc's body tried to block
+		// again: keep exiting instead of re-entering the kernel.
+		runtime.Goexit()
+	}
 	if l := p.lane; l != nil {
 		l.yieldFrom(p)
 		return
@@ -118,10 +125,10 @@ func (p *Proc) yield() {
 	case dispatchSelf:
 		// Reactivated without leaving this goroutine.
 	case dispatchHandoff:
-		<-p.resume
+		p.wait()
 	case dispatchStop:
 		p.k.park <- struct{}{}
-		<-p.resume // parked until the process exits (deadlocked Proc)
+		p.wait() // parked until Run releases the machine
 	}
 }
 

@@ -284,10 +284,10 @@ func (l *lane) yieldFrom(p *Proc) {
 	switch l.laneNext(p) {
 	case dispatchSelf:
 	case dispatchHandoff:
-		<-p.resume
+		p.wait()
 	case dispatchStop:
 		l.park <- struct{}{}
-		<-p.resume
+		p.wait()
 	}
 }
 
@@ -546,10 +546,10 @@ func (x *winExec) yieldFrom(p *Proc) {
 	switch x.next(p) {
 	case dispatchSelf:
 	case dispatchHandoff:
-		<-p.resume
+		p.wait()
 	case dispatchStop:
 		x.k.park <- struct{}{}
-		<-p.resume
+		p.wait()
 	}
 }
 
@@ -587,6 +587,7 @@ func (k *Kernel) RunParallel(cfg ParallelConfig) error {
 	if k.finished {
 		return fmt.Errorf("sim: kernel already ran")
 	}
+	defer k.release()
 	if cfg.Lookahead <= 0 && cfg.PairLookahead == nil {
 		panic("sim: RunParallel requires a positive lookahead")
 	}

@@ -23,8 +23,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Time is virtual time in nanoseconds.
@@ -301,6 +303,12 @@ type Kernel struct {
 	finished bool
 	parallel bool
 
+	// released is set once the run is over (release): every Proc still
+	// parked on its resume channel is woken by a close and exits through
+	// runtime.Goexit; exits counts those goroutines down.
+	released bool
+	exits    sync.WaitGroup
+
 	// MaxEvents, when positive, bounds the number of events Run will
 	// process — a guard against protocol livelock in tests.
 	MaxEvents int64
@@ -382,8 +390,14 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 func (p *Proc) SetDaemon(d bool) { p.daemon = d }
 
 func (p *Proc) run() {
-	<-p.resume
 	defer func() {
+		if p.k.released {
+			// Released by the end of the run (runtime.Goexit from a
+			// resume point): the simulation is over, so there is nothing
+			// to record and no baton to pass on.
+			p.k.exits.Done()
+			return
+		}
 		if r := recover(); r != nil {
 			p.err = fmt.Errorf("proc %q panicked: %v", p.name, r)
 			p.panicVal = r
@@ -391,7 +405,39 @@ func (p *Proc) run() {
 		p.state = stateDone
 		p.finish()
 	}()
+	p.wait()
 	p.fn(p)
+}
+
+// wait blocks until the Proc is handed the baton. Once the run is over,
+// release closes resume instead, and the goroutine exits here: every
+// resume point goes through wait, so a finished machine holds no parked
+// goroutine and is collected as soon as its owner drops it.
+func (p *Proc) wait() {
+	<-p.resume
+	if p.k.released {
+		runtime.Goexit()
+	}
+}
+
+// release ends the goroutine of every Proc that has not finished and
+// waits until they are gone. Run and RunParallel defer it, so it runs
+// whichever way the run stops: drained, deadlock, runaway, a Proc panic
+// or an early error. Proc state (clocks, mailboxes, statistics) is left
+// as the run left it; only the goroutines go.
+func (k *Kernel) release() {
+	if k.released {
+		return
+	}
+	k.released = true
+	for _, p := range k.procs {
+		if p.state == stateDone {
+			continue
+		}
+		k.exits.Add(1)
+		close(p.resume)
+	}
+	k.exits.Wait()
 }
 
 func (k *Kernel) post(e *event) {
@@ -653,6 +699,7 @@ func (k *Kernel) Run() error {
 	if k.finished {
 		return fmt.Errorf("sim: kernel already ran")
 	}
+	defer k.release()
 	k.started = true
 	for _, p := range k.procs {
 		p.park = k.park

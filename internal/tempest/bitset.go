@@ -9,15 +9,25 @@ import (
 // Bitset is a set of node IDs. The first 64 IDs live in an inline word,
 // so on paper-scale machines (the 32-processor CM-5 partition) a set
 // never allocates; IDs 64 and up spill into lazily grown extension
-// words, scaling the directory to kilonode machines. The zero value is
-// the empty set.
+// words, scaling the directory to kilonode machines. The extension sits
+// behind one pointer, so the set costs two words inline wherever it is
+// embedded (every directory slot, every schedule entry). The zero value
+// is the empty set.
 //
 // A Bitset assignment copies the inline word but aliases the extension
 // words — use Clone for an independent snapshot that will be mutated or
 // that must survive mutation of the original.
 type Bitset struct {
-	lo uint64   // IDs 0..63
-	hi []uint64 // word w holds IDs 64*(w+1) .. 64*(w+2)-1
+	lo uint64    // IDs 0..63
+	hi *[]uint64 // word w holds IDs 64*(w+1) .. 64*(w+2)-1
+}
+
+// words returns the extension words (nil when none were ever needed).
+func (b Bitset) words() []uint64 {
+	if b.hi == nil {
+		return nil
+	}
+	return *b.hi
 }
 
 // Add inserts node n.
@@ -26,11 +36,14 @@ func (b *Bitset) Add(n int) {
 		b.lo |= 1 << uint(n)
 		return
 	}
-	w := n/64 - 1
-	for len(b.hi) <= w {
-		b.hi = append(b.hi, 0)
+	if b.hi == nil {
+		b.hi = new([]uint64)
 	}
-	b.hi[w] |= 1 << uint(n%64)
+	w := n/64 - 1
+	for len(*b.hi) <= w {
+		*b.hi = append(*b.hi, 0)
+	}
+	(*b.hi)[w] |= 1 << uint(n%64)
 }
 
 // Remove deletes node n.
@@ -39,8 +52,8 @@ func (b *Bitset) Remove(n int) {
 		b.lo &^= 1 << uint(n)
 		return
 	}
-	if w := n/64 - 1; w < len(b.hi) {
-		b.hi[w] &^= 1 << uint(n%64)
+	if hi := b.words(); n/64-1 < len(hi) {
+		hi[n/64-1] &^= 1 << uint(n%64)
 	}
 }
 
@@ -49,8 +62,9 @@ func (b Bitset) Has(n int) bool {
 	if n < 64 {
 		return b.lo&(1<<uint(n)) != 0
 	}
+	hi := b.words()
 	w := n/64 - 1
-	return w < len(b.hi) && b.hi[w]&(1<<uint(n%64)) != 0
+	return w < len(hi) && hi[w]&(1<<uint(n%64)) != 0
 }
 
 // Empty reports whether the set has no members.
@@ -58,7 +72,7 @@ func (b Bitset) Empty() bool {
 	if b.lo != 0 {
 		return false
 	}
-	for _, w := range b.hi {
+	for _, w := range b.words() {
 		if w != 0 {
 			return false
 		}
@@ -69,7 +83,7 @@ func (b Bitset) Empty() bool {
 // Count returns the number of members.
 func (b Bitset) Count() int {
 	n := bits.OnesCount64(b.lo)
-	for _, w := range b.hi {
+	for _, w := range b.words() {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -78,17 +92,16 @@ func (b Bitset) Count() int {
 // Clear removes all members. Extension storage is retained for reuse.
 func (b *Bitset) Clear() {
 	b.lo = 0
-	for i := range b.hi {
-		b.hi[i] = 0
-	}
+	clear(b.words())
 }
 
 // Clone returns an independent copy: mutating either set never affects
 // the other.
 func (b Bitset) Clone() Bitset {
 	out := Bitset{lo: b.lo}
-	if len(b.hi) > 0 {
-		out.hi = append([]uint64(nil), b.hi...)
+	if hi := b.words(); len(hi) > 0 {
+		w := append([]uint64(nil), hi...)
+		out.hi = &w
 	}
 	return out
 }
@@ -96,7 +109,7 @@ func (b Bitset) Clone() Bitset {
 // ForEach calls fn for each member in ascending order.
 func (b Bitset) ForEach(fn func(n int)) {
 	forWord(b.lo, 0, fn)
-	for w, v := range b.hi {
+	for w, v := range b.words() {
 		forWord(v, 64*(w+1), fn)
 	}
 }

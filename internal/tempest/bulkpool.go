@@ -2,35 +2,31 @@ package tempest
 
 import "sync"
 
-// bulkPool recycles the BulkEntry slices carried by MsgBulk. Senders
-// (the pre-send walk, gather replies, update pushes) take a buffer with
-// GetBulkEntries, hand ownership to the message, and the receiver
-// returns it with PutBulkEntries once every entry is installed — so
-// steady-state bulk construction reuses backing arrays instead of
-// allocating per phase. sync.Pool makes the hand-off safe under the
-// parallel engine, where sender and receiver run on different lanes.
+// bulkPool recycles MsgBulk bodies. Senders (the pre-send walk, gather
+// replies, update pushes) take one with GetBulk, hand ownership to the
+// message, and the receiver returns it with PutBulk once every entry is
+// installed — so steady-state bulk traffic reuses entry arrays and payload
+// slabs instead of allocating per message. sync.Pool makes the hand-off
+// safe under the parallel engine, where sender and receiver run on
+// different lanes.
 var bulkPool = sync.Pool{
 	New: func() any {
-		s := make([]BulkEntry, 0, 16)
-		return &s
+		return &Bulk{Entries: make([]BulkEntry, 0, 4)}
 	},
 }
 
-// GetBulkEntries returns an empty BulkEntry buffer from the pool.
-func GetBulkEntries() []BulkEntry {
-	return (*bulkPool.Get().(*[]BulkEntry))[:0]
+// GetBulk returns an empty bulk message from the pool.
+func GetBulk() MsgBulk {
+	return MsgBulk{bulkPool.Get().(*Bulk)}
 }
 
-// PutBulkEntries returns a buffer to the pool. The caller must be the
-// message's sole consumer and must not touch the slice afterwards; data
-// references are dropped so installed blocks don't pin the pool.
-func PutBulkEntries(s []BulkEntry) {
-	if cap(s) == 0 {
-		return
-	}
-	for i := range s {
-		s[i] = BulkEntry{}
-	}
-	s = s[:0]
-	bulkPool.Put(&s)
+// PutBulk returns a bulk message's body to the pool. The caller must be
+// the message's sole consumer and must not touch it or its entries'
+// data afterwards; entry references are dropped so installed blocks
+// don't pin the pool.
+func PutBulk(m MsgBulk) {
+	b := m.Bulk
+	clear(b.Entries)
+	*b = Bulk{Entries: b.Entries[:0], data: b.data[:0]}
+	bulkPool.Put(b)
 }

@@ -91,64 +91,62 @@ func KindOf(m Msg) MsgKind {
 // numDirStates sizes the directory-transition counter matrix.
 const numDirStates = 4
 
-// Metrics is one node's instrument set, registered against the machine's
-// shared registry under an "nNN/" prefix. All pointers are cached at
-// construction so hot-path updates are lookup- and allocation-free.
+// Metrics is one node's instrument set. The instruments are plain
+// values in the node's own state, so hot-path updates are lookup- and
+// allocation-free and a node costs no registry entries while it runs;
+// Register publishes them under their names when a report is built.
 type Metrics struct {
 	// Sent and Recv count protocol messages by kind (Sent at the posting
 	// node, Recv at the dispatching protocol processor).
-	Sent [NumMsgKinds]*metrics.Counter
-	Recv [NumMsgKinds]*metrics.Counter
+	Sent [NumMsgKinds]metrics.Counter
+	Recv [NumMsgKinds]metrics.Counter
 
 	// Dir counts directory state transitions [from][to] at this home.
-	Dir [numDirStates][numDirStates]*metrics.Counter
+	Dir [numDirStates][numDirStates]metrics.Counter
 
 	// FaultLatency is the fault-to-grant latency distribution (virtual
 	// nanoseconds from fault detection to resumed access).
-	FaultLatency *metrics.Histogram
+	FaultLatency metrics.Histogram
 	// MsgPayload is the sent-message payload-size distribution (bytes,
 	// excluding the fixed header).
-	MsgPayload *metrics.Histogram
+	MsgPayload metrics.Histogram
 
 	// PresendsIn counts pre-sent blocks installed at this node;
 	// PresendHits counts those consumed by an access before any fault
 	// (a fault averted); PresendsStale counts pre-sent blocks that
 	// faulted anyway (invalidated or recalled before use).
-	PresendsIn    *metrics.Counter
-	PresendHits   *metrics.Counter
-	PresendsStale *metrics.Counter
+	PresendsIn    metrics.Counter
+	PresendHits   metrics.Counter
+	PresendsStale metrics.Counter
 	// PresendsRaced counts pre-sent blocks that arrived while the compute
 	// processor was already fault-waiting on them (too late to avert the
 	// fault). At quiescence PresendsIn == PresendHits + PresendsStale +
 	// PresendsRaced + the node's still-fresh count, exactly
 	// (check.Accounting).
-	PresendsRaced *metrics.Counter
+	PresendsRaced metrics.Counter
 
 	// Phases attributes faults, wait time and pre-send consumption to
 	// compiler-identified parallel phases (per node).
 	Phases metrics.PhaseSet
 }
 
-// NewMetrics registers one node's instruments with reg.
-func NewMetrics(reg *metrics.Registry, node int) *Metrics {
+// Register publishes node's instruments in reg under an "nNN/" prefix.
+func (m *Metrics) Register(reg *metrics.Registry, node int) {
 	p := fmt.Sprintf("n%02d/", node)
-	m := &Metrics{
-		FaultLatency:  reg.Histogram(p + "fault_latency_ns"),
-		MsgPayload:    reg.Histogram(p + "msg_payload_bytes"),
-		PresendsIn:    reg.Counter(p + "presends_in"),
-		PresendHits:   reg.Counter(p + "presend_hits"),
-		PresendsStale: reg.Counter(p + "presends_stale"),
-		PresendsRaced: reg.Counter(p + "presends_raced"),
-	}
+	reg.AddHistogram(p+"fault_latency_ns", &m.FaultLatency)
+	reg.AddHistogram(p+"msg_payload_bytes", &m.MsgPayload)
+	reg.AddCounter(p+"presends_in", &m.PresendsIn)
+	reg.AddCounter(p+"presend_hits", &m.PresendHits)
+	reg.AddCounter(p+"presends_stale", &m.PresendsStale)
+	reg.AddCounter(p+"presends_raced", &m.PresendsRaced)
 	for k := MsgKind(0); k < NumMsgKinds; k++ {
-		m.Sent[k] = reg.Counter(p + "sent/" + k.String())
-		m.Recv[k] = reg.Counter(p + "recv/" + k.String())
+		reg.AddCounter(p+"sent/"+k.String(), &m.Sent[k])
+		reg.AddCounter(p+"recv/"+k.String(), &m.Recv[k])
 	}
 	for from := 0; from < numDirStates; from++ {
 		for to := 0; to < numDirStates; to++ {
-			m.Dir[from][to] = reg.Counter(fmt.Sprintf("%sdir/%v_to_%v",
-				p, DirState(from), DirState(to)))
+			reg.AddCounter(fmt.Sprintf("%sdir/%v_to_%v",
+				p, DirState(from), DirState(to)), &m.Dir[from][to])
 		}
 	}
-	return m
 }

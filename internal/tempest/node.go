@@ -190,14 +190,8 @@ func NewNode(id int, as *memory.AddressSpace, net *network.Params, proto Protoco
 		pendingDeferred: blockstate.NewBitTable(as),
 		presendFresh:    blockstate.NewBitTable(as),
 	}
-	n.Met = NewMetrics(metrics.New(), id) // standalone registry; rt rebinds
+	n.Met = new(Metrics)
 	return n
-}
-
-// UseMetrics rebinds the node's instruments to a shared registry (called
-// by the runtime so one registry covers the whole machine).
-func (n *Node) UseMetrics(reg *metrics.Registry) {
-	n.Met = NewMetrics(reg, n.ID)
 }
 
 // BeginPhaseMetrics establishes phase id (0-based iteration iter) as the

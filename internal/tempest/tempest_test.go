@@ -204,7 +204,7 @@ func TestMsgPayloadSizes(t *testing.T) {
 		{MsgRecallRO{}, 8},
 		{MsgRecallRW{}, 8},
 		{MsgWriteBack{Data: data}, 48},
-		{MsgBulk{Entries: []BulkEntry{{Data: data}, {Data: data}}}, 80},
+		{MsgBulk{&Bulk{Entries: []BulkEntry{{Data: data}, {Data: data}}}}, 80},
 		{MsgWake{}, 0},
 		{MsgPresendGo{}, 0},
 		{MsgPresendDone{}, 0},
@@ -224,7 +224,7 @@ func TestMsgString(t *testing.T) {
 	if !strings.Contains(s, "GetRW") || !strings.Contains(s, "req=3") {
 		t.Fatalf("MsgString = %q", s)
 	}
-	if !strings.Contains(MsgString(MsgBulk{Entries: make([]BulkEntry, 4)}), "4 blocks") {
+	if !strings.Contains(MsgString(MsgBulk{&Bulk{Entries: make([]BulkEntry, 4)}}), "4 blocks") {
 		t.Fatal("bulk string")
 	}
 }

@@ -13,7 +13,10 @@
 package update
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"presto/internal/blockstate"
 	"presto/internal/memory"
@@ -113,7 +116,7 @@ func (u *Update) Handle(n *tempest.Node, d sim.Delivery) {
 		for _, e := range m.Entries {
 			u.installUpdate(n, e.Block, e.Data)
 		}
-		tempest.PutBulkEntries(m.Entries)
+		tempest.PutBulk(m)
 	default:
 		u.base.Handle(n, d)
 	}
@@ -129,27 +132,38 @@ func (u *Update) installUpdate(n *tempest.Node, b memory.Block, data []byte) {
 	n.WakeCompute(b)
 }
 
+// pushScratch is Push's per-call working set: one pending bulk per
+// destination the push has touched. It comes from pushPool, so its size
+// follows the destinations of one push (not the machine's node count)
+// and only the pushes running at one instant hold one — a single scratch
+// under the serial engine.
+type pushScratch struct {
+	slot map[int]int // destination -> index into pend
+	pend []pendingPush
+}
+
+// pendingPush is the bulk a push is building for one destination.
+type pendingPush struct {
+	dst  int
+	last memory.Block    // last block added (contiguity check)
+	bulk tempest.MsgBulk // nil body once flushed
+}
+
+var pushPool = sync.Pool{
+	New: func() any { return &pushScratch{slot: make(map[int]int)} },
+}
+
 // Push multicasts the current contents of the given home-resident blocks
 // to their recorded consumers, coalescing contiguous blocks per
 // destination. It runs on the compute processor (an explicit directive in
 // the hand-optimized application) and is fire-and-forget: the application
 // synchronizes with a barrier afterwards.
+//
+// A destination's bulk is sent as soon as the next block for it is not
+// contiguous with its last one; whatever remains is sent at the end in
+// ascending destination order.
 func (u *Update) Push(n *tempest.Node, src *sim.Proc, blocks []memory.Block) {
-	type pending struct {
-		last    memory.Block
-		entries []tempest.BulkEntry
-	}
-	bulks := make([]pending, len(n.Peers))
-	flush := func(dst int) {
-		pb := &bulks[dst]
-		if len(pb.entries) == 0 {
-			return
-		}
-		msg := tempest.MsgBulk{Entries: pb.entries}
-		pb.entries = nil
-		n.PostBulk(src, n.Peers[dst], msg)
-		n.Stats.BulkMsgs++
-	}
+	ps := pushPool.Get().(*pushScratch)
 	for _, b := range blocks {
 		if n.AS.HomeOf(b) != n.ID {
 			panic(fmt.Sprintf("update: node %d pushing non-home block %#x", n.ID, uint64(b)))
@@ -160,22 +174,42 @@ func (u *Update) Push(n *tempest.Node, src *sim.Proc, blocks []memory.Block) {
 		}
 		data := n.Store.Data(b)
 		e.Sharers.ForEach(func(r int) {
-			pb := &bulks[r]
-			if len(pb.entries) > 0 && !n.AS.Contiguous(pb.last, b) {
-				flush(r)
+			i, ok := ps.slot[r]
+			if !ok {
+				i = len(ps.pend)
+				ps.slot[r] = i
+				ps.pend = append(ps.pend, pendingPush{dst: r})
 			}
-			if pb.entries == nil {
-				pb.entries = tempest.GetBulkEntries()
+			pp := &ps.pend[i]
+			if pp.bulk.Bulk != nil && !n.AS.Contiguous(pp.last, b) {
+				flushPush(n, src, pp)
 			}
-			pb.entries = append(pb.entries, tempest.BulkEntry{Block: b, Data: append([]byte(nil), data...)})
-			pb.last = b
+			if pp.bulk.Bulk == nil {
+				pp.bulk = tempest.GetBulk()
+			}
+			pp.bulk.AddCopy(b, data)
+			pp.last = b
 			n.Stats.PresendsSent++
 		})
 	}
-	for dst := range bulks {
-		flush(dst)
+	slices.SortFunc(ps.pend, func(a, b pendingPush) int { return cmp.Compare(a.dst, b.dst) })
+	for i := range ps.pend {
+		if ps.pend[i].bulk.Bulk != nil {
+			flushPush(n, src, &ps.pend[i])
+		}
 	}
+	clear(ps.slot)
+	ps.pend = ps.pend[:0]
+	pushPool.Put(ps)
 	// A push is one operation: drain the aggregation buffers before the
 	// application reaches its synchronizing barrier.
 	n.FlushAgg(src)
+}
+
+// flushPush sends pp's bulk; the message takes ownership of the body.
+func flushPush(n *tempest.Node, src *sim.Proc, pp *pendingPush) {
+	msg := pp.bulk
+	pp.bulk = tempest.MsgBulk{}
+	n.PostBulk(src, n.Peers[pp.dst], msg)
+	n.Stats.BulkMsgs++
 }

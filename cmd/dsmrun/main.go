@@ -27,7 +27,8 @@
 // against the run: a second, recorded simulation at the predictor's 32B
 // calibration block size is distilled into a calibration, the requested
 // block size is predicted analytically, and the predicted-vs-simulated
-// error table prints after the breakdown (-block must be 32<<k, k<=6).
+// error table prints after the breakdown (-block must be 32<<k, k<=6,
+// and -nodes at most 64).
 // -trace-out streams the protocol event trace to a file: -trace-format
 // chrome (default) produces a Chrome trace_event file for
 // chrome://tracing or https://ui.perfetto.dev; jsonl produces one JSON
@@ -114,6 +115,11 @@ func main() {
 	}
 	if *metricsOut == "" {
 		*metricsOut = *metricsOut2
+	}
+	// predict.Calibrate would refuse the calibration anyway; refuse
+	// before simulating anything.
+	if *predictFlag && mc.Nodes > predict.MaxNodes {
+		fatal(fmt.Errorf("-predict supports at most %d nodes, got %d", predict.MaxNodes, mc.Nodes))
 	}
 
 	var traceFile *os.File

@@ -2,13 +2,23 @@ package predict
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"presto/internal/causal"
 	"presto/internal/memory"
 	"presto/internal/rt"
+	"presto/internal/tempest"
 )
+
+// MaxNodes is the largest calibration machine Calibrate accepts: the
+// replay keeps each coarse block's sharer, grace and subscriber sets as
+// 64-bit node masks.
+const MaxNodes = 64
 
 // Calibrate distills a completed calibration run — a machine executed
 // with rt.Config.Profile and rt.Config.Record both enabled — into the
@@ -16,6 +26,9 @@ import (
 func Calibrate(m *rt.Machine, app string) (*Calibration, error) {
 	if !m.Cfg.Profile || !m.Cfg.Record {
 		return nil, fmt.Errorf("predict: calibration needs rt.Config.Profile and rt.Config.Record enabled")
+	}
+	if m.Cfg.Nodes > MaxNodes {
+		return nil, fmt.Errorf("predict: calibration machine has %d nodes; the replay supports at most %d", m.Cfg.Nodes, MaxNodes)
 	}
 	prof, err := m.Profile(app)
 	if err != nil {
@@ -122,40 +135,36 @@ func Calibrate(m *rt.Machine, app string) (*Calibration, error) {
 	return c, nil
 }
 
-// segAccess is one access of a node's barrier segment, in compressed
-// (stall-free) node-local time.
-type segAccess struct {
-	dt    int64  // compute-time offset from the segment's first access
-	bi    uint32 // index into the dense unique-block table
-	pi    int32  // phase index into c.phases
-	write bool
+// part is one node's slice of a barrier segment: its recorded accesses
+// plus a side table resolving each access's block to the dense
+// unique-block index.
+type part struct {
+	node int32
+	run0 int64 // Run of the slice's first access
+	accs []tempest.Access
+	bi   []uint32
 }
 
-// nodeSeg is one node's trace slice between two barrier crossings (a
-// (phase, iteration) episode), with recorded stalls compressed out.
-type nodeSeg struct {
-	node    int32
-	firstAt int64 // recorded issue time of the first access
-	accs    []segAccess
-}
-
-// globalSeg groups the nodes' slices of one barrier segment. Segments
-// execute in recorded order; within one, the replay reconstructs the
-// interleaving from compressed compute time plus replay-incurred stalls.
+// globalSeg groups the nodes' slices of one barrier segment (a (phase,
+// iteration) episode), ordered by node. Segments execute in recorded
+// order; within one, the replay reconstructs the interleaving from
+// compressed compute time plus replay-incurred stalls.
 type globalSeg struct {
 	minAt int64
-	nodes []nodeSeg
+	pi    int32 // phase index into c.phases
+	parts []part
 }
 
 // blkState is one coarse block's coherence state during replay: a
 // modified owner (M) or a sharer set (S), plus a grace set of nodes
 // whose copies were revoked but whose recall has not yet landed (the
 // protocols defer recalls by a full miss round trip, so a displaced
-// holder's burst keeps hitting until the grace deadline). Lazily
-// initialized with the block's home as owner, mirroring the simulator's
-// home-owned lines.
+// holder's burst keeps hitting until the grace deadline). Initialized
+// with the block's home as owner, mirroring the simulator's home-owned
+// lines; the home rides along so an access reads one table, not two.
 type blkState struct {
 	owner      int32 // >= 0: that node holds the block modified
+	home       int32 // home of the coarse block's first constituent
 	sharers    uint64
 	grace      uint64 // revoked holders still running on stale copies
 	subs       uint64 // historical readers (pre-send subscribers)
@@ -183,216 +192,300 @@ const offMask40 = uint64(1)<<40 - 1
 // block and re-fault accesses that hit at the calibration size).
 // Pre-send counts coarsen by per-node MAX — one pre-send covers the
 // coarse block.
+//
+// The shifts share nothing mutable, so they replay concurrently, one
+// worker per CPU up to MaxShift+1; each writes only its own c.shifts[k].
 func (c *Calibration) buildShifts(m *rt.Machine) error {
-	n0 := c.Nodes
-	shift0 := uint(bits.TrailingZeros(uint(c.BlockSize)))
-	np := len(c.phases)
-	phaseIdx := make(map[int32]int32, np)
+	phaseIdx := make(map[int32]int32, len(c.phases))
 	for pi := range c.phases {
 		phaseIdx[int32(c.phases[pi].id)] = int32(pi)
 	}
+	segs, blocks, err := groupSegments(m, phaseIdx)
+	if err != nil {
+		return err
+	}
 
-	// Slice each node's trace into barrier segments — one (phase,
-	// iteration) episode per slice, with recorded stalls compressed out —
-	// and group the slices globally.
+	var pInt [MaxShift + 1]int64
+	c.coarsenPresends(m, phaseIdx, uint(bits.TrailingZeros(uint(c.BlockSize))), c.Nodes, &pInt)
+
+	workers := min(runtime.GOMAXPROCS(0), MaxShift+1)
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := newReplayer(c, m, segs, blocks)
+			for k := int(next.Add(1)) - 1; k <= MaxShift; k = int(next.Add(1)) - 1 {
+				r.replay(k, &c.shifts[k])
+				c.shifts[k].presends = float64(pInt[k])
+			}
+		}()
+	}
+	wg.Wait()
+	return nil
+}
+
+// groupSegments gathers the nodes' recorded segments into global barrier
+// segments — the i-th occurrence of a (phase, iteration) pair on every
+// node is one episode — ordered by their earliest recorded access, and
+// resolves every access's block to a dense unique-block index: the
+// replay runs once per shift over every access, so block identity
+// resolves through one map pass here instead of a hash lookup per
+// access per shift.
+func groupSegments(m *rt.Machine, phaseIdx map[int32]int32) ([]*globalSeg, []uint64, error) {
+	total := 0
+	for n, node := range m.Nodes {
+		if node.Rec == nil {
+			return nil, nil, fmt.Errorf("predict: node %d has no communication record", n)
+		}
+		for i := range node.Rec.Segments {
+			total += len(node.Rec.Segments[i].Accs)
+		}
+	}
 	type instKey struct {
 		phase, iter, occ int32
 	}
 	segMap := map[instKey]*globalSeg{}
-	// Dense unique-block table: the hot replay loop below runs once per
-	// shift over every access, so block identity resolves through one map
-	// pass here instead of a hash lookup per access per shift.
+	var segs []*globalSeg
 	blockIdx := map[uint64]uint32{}
 	var blocks []uint64
+	slab := make([]uint32, total)
 	for n, node := range m.Nodes {
-		if node.Rec == nil {
-			return fmt.Errorf("predict: node %d has no communication record", n)
-		}
-		accs := node.Rec.Accesses
 		occ := map[[2]int32]int32{}
-		for i := 0; i < len(accs); {
-			ph, it := accs[i].Phase, accs[i].Iter
-			j := i
-			for j < len(accs) && accs[j].Phase == ph && accs[j].Iter == it {
-				j++
-			}
-			pk := [2]int32{ph, it}
-			key := instKey{ph, it, occ[pk]}
+		for i := range node.Rec.Segments {
+			s := &node.Rec.Segments[i]
+			pk := [2]int32{s.Phase, s.Iter}
+			key := instKey{s.Phase, s.Iter, occ[pk]}
 			occ[pk]++
 			gs := segMap[key]
 			if gs == nil {
-				gs = &globalSeg{minAt: int64(accs[i].At)}
-				segMap[key] = gs
-			} else if int64(accs[i].At) < gs.minAt {
-				gs.minAt = int64(accs[i].At)
-			}
-			pi, ok := phaseIdx[ph]
-			if !ok {
-				pi = 0 // unprofiled phase: fold into (outside)
-			}
-			ns := nodeSeg{node: int32(n), firstAt: int64(accs[i].At)}
-			ns.accs = make([]segAccess, j-i)
-			base := int64(accs[i].At) - int64(accs[i].StallCum)
-			for x := i; x < j; x++ {
-				blk := uint64(accs[x].Block)
-				bi, ok := blockIdx[blk]
+				pi, ok := phaseIdx[s.Phase]
 				if !ok {
-					bi = uint32(len(blocks))
-					blockIdx[blk] = bi
+					pi = 0 // unprofiled phase: fold into (outside)
+				}
+				gs = &globalSeg{minAt: int64(s.At), pi: pi}
+				segMap[key] = gs
+				segs = append(segs, gs)
+			} else if int64(s.At) < gs.minAt {
+				gs.minAt = int64(s.At)
+			}
+			bi := slab[:len(s.Accs):len(s.Accs)]
+			slab = slab[len(s.Accs):]
+			for x := range s.Accs {
+				blk := uint64(s.Accs[x].Block)
+				u, ok := blockIdx[blk]
+				if !ok {
+					u = uint32(len(blocks))
+					blockIdx[blk] = u
 					blocks = append(blocks, blk)
 				}
-				ns.accs[x-i] = segAccess{
-					dt:    int64(accs[x].At) - int64(accs[x].StallCum) - base,
-					bi:    bi,
-					pi:    pi,
-					write: accs[x].Write,
-				}
+				bi[x] = u
 			}
-			gs.nodes = append(gs.nodes, ns)
-			i = j
+			gs.parts = append(gs.parts, part{node: int32(n), run0: int64(s.Accs[0].Run), accs: s.Accs, bi: bi})
 		}
 	}
-	ordered := make([]*globalSeg, 0, len(segMap))
-	for _, gs := range segMap {
-		sort.Slice(gs.nodes, func(i, j int) bool { return gs.nodes[i].node < gs.nodes[j].node })
-		ordered = append(ordered, gs)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].minAt != ordered[j].minAt {
-			return ordered[i].minAt < ordered[j].minAt
+	sort.SliceStable(segs, func(i, j int) bool {
+		if segs[i].minAt != segs[j].minAt {
+			return segs[i].minAt < segs[j].minAt
 		}
-		return ordered[i].nodes[0].node < ordered[j].nodes[0].node
+		return segs[i].parts[0].node < segs[j].parts[0].node
 	})
+	return segs, blocks, nil
+}
 
+// heapEnt is one participant of the segment merge, keyed by its next
+// access's reconstructed offset from the segment start.
+type heapEnt struct {
+	key int64 // compute offset plus the stalls replay has charged
+	si  int32 // participant index; ties go to the lowest (= lowest node)
+}
+
+func (a heapEnt) less(b heapEnt) bool {
+	return a.key < b.key || a.key == b.key && a.si < b.si
+}
+
+// siftDown restores the min-heap below h[i].
+func siftDown(h []heapEnt, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		j := l
+		if r := l + 1; r < len(h) && h[r].less(h[l]) {
+			j = r
+		}
+		if !h[j].less(h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// replayer is one worker's scratch for shift replays: everything a
+// replay mutates, reused across the shifts the worker takes.
+type replayer struct {
+	c      *Calibration
+	m      *rt.Machine
+	segs   []*globalSeg
+	blocks []uint64
+
+	coarse   []uint32 // unique block -> coarse index
+	cmap     map[uint64]uint32
+	state    []blkState // per coarse block
+	clocks   []int64
+	idx      []int
+	stallAdj []int64
+	heap     []heapEnt
+	written  []uint32
+	spanAcc  []int64 // per phase: sum of segment spans
+	busyAcc  []int64 // per (phase,node): total busy
+	fInt     []int64
+	hInt     []int64
+	qInt     []int64
+}
+
+func newReplayer(c *Calibration, m *rt.Machine, segs []*globalSeg, blocks []uint64) *replayer {
+	n0, np := c.Nodes, len(c.phases)
+	return &replayer{
+		c: c, m: m, segs: segs, blocks: blocks,
+		coarse:   make([]uint32, len(blocks)),
+		state:    make([]blkState, 0, len(blocks)),
+		cmap:     map[uint64]uint32{},
+		clocks:   make([]int64, n0),
+		idx:      make([]int, n0),
+		stallAdj: make([]int64, n0),
+		heap:     make([]heapEnt, 0, n0),
+		spanAcc:  make([]int64, np),
+		busyAcc:  make([]int64, np*n0),
+		fInt:     make([]int64, np*n0),
+		hInt:     make([]int64, np*n0*n0),
+		qInt:     make([]int64, np*n0),
+	}
+}
+
+// replay runs the coherence automaton at shift k and fills sc's fault,
+// home, stall and imbalance tables.
+func (r *replayer) replay(k int, sc *shiftCal) {
+	c, m := r.c, r.m
+	n0, np := c.Nodes, len(c.phases)
+	sh := uint(bits.TrailingZeros(uint(c.BlockSize))) + uint(k)
+	b1 := c.BlockSize << k
 	update := c.Protocol == string(rt.ProtoUpdate)
 	predictive := c.Protocol == string(rt.ProtoPredictive)
 
-	fInt := make([][]int64, MaxShift+1)
-	hInt := make([][]int64, MaxShift+1)
-	qInt := make([][]int64, MaxShift+1)
-	imbF := make([][]float64, MaxShift+1)
-	var rInt, wInt, pInt [MaxShift + 1]int64
-	for k := 0; k <= MaxShift; k++ {
-		fInt[k] = make([]int64, np*n0)
-		hInt[k] = make([]int64, np*n0*n0)
-		qInt[k] = make([]int64, np*n0)
-		imbF[k] = make([]float64, np)
-	}
-
-	clocks := make([]int64, n0)
-	idx := make([]int, n0)
-	stallAdj := make([]int64, n0)
-	spanAcc := make([]int64, np)          // per phase: sum of segment spans
-	busyAcc := make([]int64, np*n0)       // per (phase,node): total busy
-	coarse := make([]uint32, len(blocks)) // unique block -> coarse index
-	chome := make([]int32, 0, len(blocks))
-	cmap := map[uint64]uint32{}
-	var written []uint32
-	for k := 0; k <= MaxShift; k++ {
-		sh := shift0 + uint(k)
-		b1 := c.BlockSize << k
-		// Map each unique calibration block onto its coarse group for
-		// this shift and resolve the group's home once — the home of the
-		// coarse block's first constituent in the calibration address
-		// space (the home function is the application's; this is the
-		// closest stand-in for the target geometry's assignment).
-		clear(cmap)
-		chome = chome[:0]
-		for u, blk := range blocks {
-			// Block-padded regions re-pad per element at every block
-			// size — coarsening can never merge their accesses, so they
-			// group by element (and keep their calibration home). Other
-			// regions keep a block-size-independent layout: coarsening
-			// shifts their offsets.
-			ck := blk&^offMask40 | (blk&offMask40)>>sh
-			base := blk&^offMask40 | (blk&offMask40)>>sh<<sh
-			if st := m.PaddedStride(int(blk >> 40)); st > 0 {
-				ck = blk&^offMask40 | uint64(int64(blk&offMask40)/st)
-				base = blk
-			}
-			ci, ok := cmap[ck]
-			if !ok {
-				ci = uint32(len(chome))
-				cmap[ck] = ci
-				chome = append(chome, int32(m.AS.HomeOf(memory.Addr(base))))
-			}
-			coarse[u] = ci
+	// Map each unique calibration block onto its coarse group for this
+	// shift and resolve the group's home once — the home of the coarse
+	// block's first constituent in the calibration address space (the
+	// home function is the application's; this is the closest stand-in
+	// for the target geometry's assignment).
+	coarse := r.coarse
+	clear(r.cmap)
+	state := r.state[:0]
+	for u, blk := range r.blocks {
+		// Block-padded regions re-pad per element at every block size —
+		// coarsening can never merge their accesses, so they group by
+		// element (and keep their calibration home). Other regions keep
+		// a block-size-independent layout: coarsening shifts their
+		// offsets.
+		ck := blk&^offMask40 | (blk&offMask40)>>sh
+		base := blk&^offMask40 | (blk&offMask40)>>sh<<sh
+		if st := m.PaddedStride(int(blk >> 40)); st > 0 {
+			ck = blk&^offMask40 | uint64(int64(blk&offMask40)/st)
+			base = blk
 		}
-		state := make([]blkState, len(chome))
-		for ci := range state {
+		ci, ok := r.cmap[ck]
+		if !ok {
+			ci = uint32(len(state))
+			r.cmap[ck] = ci
+			home := int32(m.AS.HomeOf(memory.Addr(base)))
 			if update {
-				state[ci] = blkState{owner: -1, sharers: uint64(1) << chome[ci]}
+				state = append(state, blkState{owner: -1, home: home, sharers: uint64(1) << home})
 			} else {
-				state[ci] = blkState{owner: chome[ci]}
+				state = append(state, blkState{owner: home, home: home})
 			}
 		}
-		for i := range clocks {
-			clocks[i] = 0
-		}
-		for i := range spanAcc {
-			spanAcc[i] = 0
-		}
-		for i := range busyAcc {
-			busyAcc[i] = 0
-		}
-		var prevStart int64
-		for _, gs := range ordered {
-			// Barrier: the segment starts when its slowest participant
-			// arrives, never before the previous segment.
-			segStart := prevStart
-			for _, ns := range gs.nodes {
-				if clocks[ns.node] > segStart {
-					segStart = clocks[ns.node]
-				}
-			}
-			prevStart = segStart
-			for si := range gs.nodes {
-				idx[si], stallAdj[si] = 0, 0
-			}
-			written = written[:0]
-			// Merge the participants' compressed streams by reconstructed
-			// time: compute offsets plus the stalls replay has charged.
-			for {
-				best := -1
-				var bt int64
-				for si := range gs.nodes {
-					if idx[si] >= len(gs.nodes[si].accs) {
-						continue
-					}
-					t := segStart + gs.nodes[si].accs[idx[si]].dt + stallAdj[si]
-					if best == -1 || t < bt {
-						best, bt = si, t
-					}
-				}
-				if best == -1 {
-					break
-				}
-				ns := &gs.nodes[best]
-				a := &ns.accs[idx[best]]
-				idx[best]++
+		coarse[u] = ci
+	}
+	r.state = state
+	clocks, idx, stallAdj := r.clocks, r.idx, r.stallAdj
+	fInt, hInt, qInt := r.fInt, r.hInt, r.qInt
+	clear(clocks)
+	clear(r.spanAcc)
+	clear(r.busyAcc)
+	clear(fInt)
+	clear(hInt)
+	clear(qInt)
+	var reads, writes int64
 
-				ci := coarse[a.bi]
-				home := chome[ci]
+	var prevStart int64
+	for _, gs := range r.segs {
+		parts := gs.parts
+		pi := int(gs.pi)
+		// Barrier: the segment starts when its slowest participant
+		// arrives, never before the previous segment.
+		segStart := prevStart
+		for _, p := range parts {
+			if clocks[p.node] > segStart {
+				segStart = clocks[p.node]
+			}
+		}
+		prevStart = segStart
+		// Every participant's first access sits at offset 0, so the
+		// participants in index order already form a valid heap.
+		h := r.heap[:0]
+		for si := range parts {
+			idx[si], stallAdj[si] = 0, 0
+			h = append(h, heapEnt{si: int32(si)})
+		}
+		written := r.written[:0]
+		// Merge the participants' compressed streams by reconstructed
+		// time: compute offsets plus the stalls replay has charged. Only
+		// the participant at the root changes its key, so each access
+		// costs at most one sift-down.
+		for len(h) > 0 {
+			si := h[0].si
+			key := h[0].key
+			p := &parts[si]
+			x := idx[si]
+			// The others' keys hold still while si runs, so si keeps
+			// the floor for as long as it stays below the runner-up (the
+			// lesser of the root's children): its burst replays without
+			// touching the heap.
+			next := heapEnt{key: math.MaxInt64, si: math.MaxInt32}
+			if len(h) > 1 {
+				next = h[1]
+				if len(h) > 2 && h[2].less(next) {
+					next = h[2]
+				}
+			}
+			for {
+				bt := segStart + key
+				write := p.accs[x].Write
+
+				ci := coarse[p.bi[x]]
 				st := &state[ci]
-				bit := uint64(1) << ns.node
+				bit := uint64(1) << p.node
 				inGrace := st.grace&bit != 0 && bt < st.graceUntil
 				fault := false
 				if update {
-					// Write-update: copies are never invalidated; any
-					// node faults once to join the sharers, then hits.
+					// Write-update: copies are never invalidated; any node
+					// faults once to join the sharers, then hits.
 					if st.sharers&bit == 0 {
 						fault = true
 						st.sharers |= bit
 					}
-				} else if a.write {
-					if st.owner != ns.node && !inGrace {
+				} else if write {
+					if st.owner != p.node && !inGrace {
 						fault = true
 						g := st.sharers
 						if st.owner >= 0 {
 							g |= uint64(1) << st.owner
 						}
 						st.grace = g &^ bit
-						st.owner = ns.node
+						st.owner = p.node
 						st.sharers = 0
 						if predictive {
 							st.subs |= g &^ bit
@@ -403,7 +496,7 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 					if predictive {
 						st.subs |= bit
 					}
-					if st.owner != ns.node && st.sharers&bit == 0 && !inGrace {
+					if st.owner != p.node && st.sharers&bit == 0 && !inGrace {
 						fault = true
 						if st.owner >= 0 {
 							st.grace |= uint64(1) << st.owner
@@ -417,88 +510,94 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 					// The faulting node stalls a miss round trip, queued
 					// behind any in-flight transfer of the same block
 					// (coarse blocks concentrate contention at the home);
-					// displaced holders keep hitting on stale copies
-					// until the recall lands at roughly the same time.
-					lam := int64(lambda(c.Net, b1, int(ns.node), int(home)))
-					stallAdj[best] += lam
+					// displaced holders keep hitting on stale copies until
+					// the recall lands at roughly the same time.
+					lam := int64(lambda(c.Net, b1, int(p.node), int(st.home)))
+					stallAdj[si] += lam
 					st.graceUntil = bt + lam
-					fInt[k][int(a.pi)*n0+int(ns.node)]++
-					hInt[k][(int(a.pi)*n0+int(ns.node))*n0+int(home)]++
-					qInt[k][int(a.pi)*n0+int(ns.node)] += lam
-					if a.write {
-						wInt[k]++
+					slot := pi*n0 + int(p.node)
+					fInt[slot]++
+					hInt[slot*n0+int(st.home)]++
+					qInt[slot] += lam
+					if write {
+						writes++
 					} else {
-						rInt[k]++
+						reads++
 					}
 				}
-			}
-			// Predictive protocol: at the barrier, newly written blocks
-			// are pre-sent to their historical readers, whose next reads
-			// then hit without faulting.
-			for _, ci := range written {
-				st := &state[ci]
-				st.sharers |= st.subs
-			}
-			// The segment's reconstructed span and per-node busy times.
-			// Per phase the replay accumulates the critical path (sum of
-			// segment spans, where a different node may be critical each
-			// segment) and each node's total busy time; the gap between
-			// them is the alternating-straggler slack that barriers
-			// absorb. Its ratio across shifts drives slack prediction.
-			var segSpan int64
-			pi := int(gs.nodes[0].accs[0].pi)
-			for si := range gs.nodes {
-				ns := &gs.nodes[si]
-				if len(ns.accs) == 0 {
-					continue
+				x++
+				if x == len(p.accs) {
+					break
 				}
-				busy := ns.accs[len(ns.accs)-1].dt + stallAdj[si]
-				end := segStart + busy
-				if end > clocks[ns.node] {
-					clocks[ns.node] = end
+				key = int64(p.accs[x].Run) - p.run0 + stallAdj[si]
+				if !(heapEnt{key: key, si: si}).less(next) {
+					break
 				}
-				if busy > segSpan {
-					segSpan = busy
-				}
-				busyAcc[pi*n0+int(ns.node)] += busy
 			}
-			spanAcc[pi] += segSpan
+			idx[si] = x
+			if x < len(p.accs) {
+				h[0].key = key
+			} else {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			siftDown(h, 0)
 		}
-		for pi := 0; pi < np; pi++ {
-			var maxBusy int64
-			for n := 0; n < n0; n++ {
-				if b := busyAcc[pi*n0+n]; b > maxBusy {
-					maxBusy = b
-				}
-			}
-			if sl := spanAcc[pi] - maxBusy; sl > 0 {
-				imbF[k][pi] = float64(sl)
-			}
+		r.heap = h
+		// Predictive protocol: at the barrier, newly written blocks are
+		// pre-sent to their historical readers, whose next reads then
+		// hit without faulting.
+		for _, ci := range written {
+			st := &state[ci]
+			st.sharers |= st.subs
 		}
+		r.written = written
+		// The segment's reconstructed span and per-node busy times. Per
+		// phase the replay accumulates the critical path (sum of segment
+		// spans, where a different node may be critical each segment)
+		// and each node's total busy time; the gap between them is the
+		// alternating-straggler slack that barriers absorb. Its ratio
+		// across shifts drives slack prediction.
+		var segSpan int64
+		for si := range parts {
+			p := &parts[si]
+			busy := int64(p.accs[len(p.accs)-1].Run) - p.run0 + stallAdj[si]
+			if end := segStart + busy; end > clocks[p.node] {
+				clocks[p.node] = end
+			}
+			if busy > segSpan {
+				segSpan = busy
+			}
+			r.busyAcc[pi*n0+int(p.node)] += busy
+		}
+		r.spanAcc[pi] += segSpan
 	}
 
-	c.coarsenPresends(m, phaseIdx, shift0, n0, &pInt)
-
-	for k := 0; k <= MaxShift; k++ {
-		sc := &c.shifts[k]
-		sc.faults = make([]float64, np*n0)
-		sc.faultHome = make([]float64, np*n0*n0)
-		sc.imb = imbF[k]
-		for i, v := range fInt[k] {
-			sc.faults[i] = float64(v)
+	sc.imb = make([]float64, np)
+	for pi := 0; pi < np; pi++ {
+		var maxBusy int64
+		for n := 0; n < n0; n++ {
+			if b := r.busyAcc[pi*n0+n]; b > maxBusy {
+				maxBusy = b
+			}
 		}
-		for i, v := range hInt[k] {
-			sc.faultHome[i] = float64(v)
-		}
-		sc.reads = float64(rInt[k])
-		sc.writes = float64(wInt[k])
-		sc.presends = float64(pInt[k])
-		sc.stallq = make([]float64, np*n0)
-		for i, v := range qInt[k] {
-			sc.stallq[i] = float64(v)
+		if sl := r.spanAcc[pi] - maxBusy; sl > 0 {
+			sc.imb[pi] = float64(sl)
 		}
 	}
-	return nil
+	sc.faults = toFloats(fInt)
+	sc.faultHome = toFloats(hInt)
+	sc.stallq = toFloats(qInt)
+	sc.reads = float64(reads)
+	sc.writes = float64(writes)
+}
+
+func toFloats(v []int64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = float64(x)
+	}
+	return out
 }
 
 // coarsenPresends folds the per-phase pre-send arrival counts into

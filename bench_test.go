@@ -8,9 +8,7 @@
 //
 // By default the benchmarks run the CI-sized (quick) workloads; set
 // PRESTO_SCALE=paper to run the paper's Table 1 sizes (32 simulated
-// nodes; several minutes). PRESTO_ENGINE=parallel runs them on the
-// kernel's conservative parallel engine (identical results, different
-// wall clock).
+// nodes; several minutes).
 package presto_test
 
 import (
@@ -29,10 +27,7 @@ func benchScale() harness.Scale {
 }
 
 func benchOptions() harness.Options {
-	return harness.Options{
-		Scale:  benchScale(),
-		Engine: rt.EngineKind(os.Getenv("PRESTO_ENGINE")),
-	}
+	return harness.Options{Scale: benchScale()}
 }
 
 func runExperiment(b *testing.B, id string) *harness.Result {
@@ -44,7 +39,7 @@ func runExperiment(b *testing.B, id string) *harness.Result {
 	var res *harness.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = harness.RunExperiment(e, benchOptions())
+		res, err = e.Run(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +57,7 @@ func BenchmarkTable1Workloads(b *testing.B) {
 	for i := 0; i < 1; i++ { // workloads themselves (once per bench run)
 		for _, id := range []string{"figure7"} {
 			e, _ := harness.ByID(id)
-			r, err := harness.RunExperiment(e, opts)
+			r, err := e.Run(opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,7 +9,7 @@
 //	       [-metrics out.json] [-metrics-out out.json]
 //	       [-profile] [-profile-out profile.json] [-predict]
 //	       [-trace-out t.json] [-trace-format chrome|jsonl]
-//	       [-engine serial|parallel] [-workers N] [-sched wheel|heap]
+//	       [-sched wheel|heap]
 //	       [-cpuprofile f] [-memprofile f]
 //
 // -metrics writes the machine's full metrics report (breakdown, per-phase
@@ -44,11 +44,8 @@
 // coalesced into a single leader-to-leader message. Timing changes;
 // final memory contents do not.
 //
-// -engine parallel runs the simulation on the kernel's conservative
-// parallel engine; every output (breakdown, metrics, traces) is
-// byte-identical to -engine serial — only wall-clock time changes.
 // -sched heap swaps the kernel's timing-wheel event scheduler for the
-// binary-heap reference (also byte-identical; differential testing).
+// binary-heap reference (byte-identical; differential testing).
 // -cpuprofile/-memprofile write pprof profiles of the simulator itself.
 package main
 
@@ -89,8 +86,6 @@ func main() {
 	profileOut := flag.String("profile-out", "", "with -profile: write the profile.json artifact to this file (\"-\" = stdout)")
 	traceOut := flag.String("trace-out", "", "write the protocol event trace to this file")
 	traceFormat := flag.String("trace-format", "chrome", "trace format: chrome or jsonl")
-	engine := flag.String("engine", "serial", "kernel engine: serial or parallel")
-	workers := flag.Int("workers", 0, "parallel-engine workers (0 = GOMAXPROCS)")
 	sched := flag.String("sched", "wheel", "kernel event scheduler: wheel or heap")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -110,8 +105,7 @@ func main() {
 
 	mc := rt.Config{
 		Nodes: *nodes, BlockSize: *block, Protocol: rt.ProtocolKind(*protocol),
-		Net: netParams, Engine: rt.EngineKind(*engine), Workers: *workers,
-		Sched: rt.SchedKind(*sched), Profile: *profile, Aggregate: *aggregate,
+		Net: netParams, Sched: rt.SchedKind(*sched), Profile: *profile, Aggregate: *aggregate,
 	}
 	if *metricsOut == "" {
 		*metricsOut = *metricsOut2
@@ -232,11 +226,6 @@ func main() {
 	}
 
 	fmt.Printf("%s on %d nodes, %dB blocks, %s protocol\n", *app, *nodes, *block, *protocol)
-	if m != nil && mc.Engine == rt.EngineParallel {
-		ei := m.ExecInfo()
-		fmt.Printf("  engine            parallel: %d workers over %d lanes, %s lookahead\n",
-			ei.Workers, ei.Lanes, ei.Lookahead)
-	}
 	fmt.Printf("  execution time    %v\n", b.Elapsed)
 	fmt.Printf("  remote-data wait  %v\n", b.RemoteWait)
 	fmt.Printf("  pre-send          %v\n", b.Presend)

@@ -5,11 +5,10 @@
 //	paperbench [-experiment all|table1|figure4|figure5|figure6|figure7|scale|sweep|ablate-*]
 //	           [-list] [-scale quick|paper] [-net <preset>] [-aggregate]
 //	           [-csv out.csv] [-json out.json]
-//	           [-engine serial|parallel] [-workers N] [-sched wheel|heap]
+//	           [-sched wheel|heap]
 //	           [-profile] [-predict]
 //	           [-kernel-bench out.json] [-kernel-filter re]
 //	           [-kernel-diff base.json] [-kernel-diff-out diff.json]
-//	           [-kernel-speedup]
 //	           [-cpuprofile f] [-memprofile f]
 //
 // -json (default BENCH_results.json; "" disables) writes every
@@ -40,31 +39,24 @@
 // predicted-vs-simulated error table prints and lands in the -json
 // artifact alongside the predicted rows.
 //
-// -engine parallel runs the simulation kernel's conservative parallel
-// engine (results are byte-identical to serial; only wall clock changes).
-// -workers caps its worker goroutines (default GOMAXPROCS). -sched heap
-// swaps the kernel's timing-wheel event scheduler for the binary-heap
-// reference (also byte-identical; differential testing).
+// -sched heap swaps the kernel's timing-wheel event scheduler for the
+// binary-heap reference (byte-identical; differential testing).
 //
 // -kernel-bench runs the kernel hot-path micro-benchmarks
-// (internal/kernelbench) plus a serial-vs-parallel wall-clock comparison
-// of figure5 and a >=1000-configuration analytical-predictor sweep timed
-// against per-configuration simulation, writes them as JSON, and exits.
-// The run fails (non-zero exit) when a zero-alloc-guarded case
-// allocates, a cross-case ratio guard is exceeded (e.g. mesh8_parallel4
-// > 1.1x mesh8_serial), or the predictor sweep is less than 100x faster
-// than simulating.
+// (internal/kernelbench) plus a >=1000-configuration analytical-predictor
+// sweep timed against per-configuration simulation, writes them as JSON,
+// and exits. The run fails (non-zero exit) when a zero-alloc-guarded case
+// allocates, a cross-case ratio guard is exceeded (e.g.
+// send_recv_profiled > 1.25x send_recv), or the predictor sweep is less
+// than 100x faster than simulating.
 // -kernel-filter restricts the run to cases matching the regexp and
-// skips the figure5 wall-clock comparison — the CI regression diff uses
-// it to keep the job fast. -kernel-diff compares the fresh run against a
+// skips the full-run sections — the CI regression diff uses it to keep
+// the job fast. -kernel-diff compares the fresh run against a
 // committed BENCH_kernel.json and fails on a >25% ns/op regression in
 // any guarded case; when the baseline was taken on a different host shape
 // (NumCPU or GOMAXPROCS differ) the ns/op gating is skipped — wall-clock
 // ratios across hosts are noise — while the zero-alloc guards still
 // apply. -kernel-diff-out writes the comparison as a JSON artifact.
-// -kernel-speedup additionally evaluates the multi-core speedup guards
-// (parallel dense cases must beat their serial twins by >= 2x); CI runs
-// it in the bench-multicore job at GOMAXPROCS=4.
 package main
 
 import (
@@ -99,8 +91,6 @@ func main() {
 	aggregate := flag.Bool("aggregate", false, "enable node-leader message aggregation (hierarchical -net presets)")
 	csvPath := flag.String("csv", "", "also write rows as CSV to this file")
 	jsonPath := flag.String("json", "BENCH_results.json", "write machine-readable results to this file (\"\" disables)")
-	engine := flag.String("engine", "serial", "kernel engine: serial or parallel")
-	workers := flag.Int("workers", 0, "parallel-engine workers (0 = GOMAXPROCS)")
 	sched := flag.String("sched", "wheel", "kernel event scheduler: wheel or heap")
 	profile := flag.Bool("profile", false, "enable the causal profiler on the figure experiments: rows gain a validated attribution profile, rendered after the phase tables and exported in -json")
 	predictFlag := flag.Bool("predict", false, "answer the figure and sweep experiments from the analytical predictor (one calibration per program/protocol, no per-row simulation) and append the predictor-vs-simulation error table (predict-error) to the run and the -json artifact")
@@ -108,9 +98,8 @@ func main() {
 	predictBand := flag.Int("predict-band", 100, "chaos seeds in the -predict-validate band")
 	predictWide := flag.String("predict-validate-wide", "", "with -predict-validate: also write the informational error table for the wider 4x/8x chaos extrapolations (reported, not gated) to this `file`")
 	kernelBench := flag.String("kernel-bench", "", "run kernel micro-benchmarks, write JSON to this file and exit")
-	kernelFilter := flag.String("kernel-filter", "", "run only kernel benchmark cases matching this `regexp` (skips the figure5 wall-clock comparison)")
+	kernelFilter := flag.String("kernel-filter", "", "run only kernel benchmark cases matching this `regexp` (skips the full-run sections)")
 	kernelDiff := flag.String("kernel-diff", "", "compare the kernel benchmark run against this baseline JSON; fail on >25% ns/op regression in guarded cases (ns/op gating is skipped when the baseline host shape differs)")
-	kernelSpeedup := flag.Bool("kernel-speedup", false, "evaluate the multi-core speedup guards (kernelbench.SpeedupGuards); requires a multi-core host — CI runs this at GOMAXPROCS=4")
 	kernelDiffOut := flag.String("kernel-diff-out", "", "write the -kernel-diff comparison as JSON to this file")
 	kernelBase := flag.String("kernel-bench-baseline", "", "embed this `go test -bench` output as the baseline section")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -135,8 +124,6 @@ func main() {
 
 	opts := harness.Options{
 		Scale:     harness.ParseScale(*scaleStr),
-		Engine:    rt.EngineKind(*engine),
-		Workers:   *workers,
 		Sched:     rt.SchedKind(*sched),
 		Profile:   *profile,
 		Predict:   *predictFlag,
@@ -171,7 +158,6 @@ func main() {
 			filter:       *kernelFilter,
 			diffPath:     *kernelDiff,
 			diffOutPath:  *kernelDiffOut,
-			speedup:      *kernelSpeedup,
 			opts:         opts,
 			ctx:          ctx,
 		}
@@ -236,7 +222,7 @@ func main() {
 			break
 		}
 		start := time.Now()
-		res, err := harness.RunExperiment(e, opts)
+		res, err := e.Run(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			stopProf()
@@ -345,10 +331,6 @@ type kernelBenchDoc struct {
 	// Baseline holds pre-optimization numbers for the same workloads
 	// (parsed from a recorded `go test -bench` output), when provided.
 	Baseline []microResult `json:"baseline,omitempty"`
-	// Figure5 compares serial vs parallel wall clock for the figure5
-	// experiment at quick scale (byte-identical results, different engines).
-	// Omitted under -kernel-filter.
-	Figure5 *figure5Result `json:"figure5,omitempty"`
 	// PredictSweep times a >=1000-configuration parameter sweep answered
 	// by the analytical predictor against the measured cost of simulating
 	// every configuration; the run fails unless the sweep is at least
@@ -363,11 +345,6 @@ type kernelBenchDoc struct {
 	// guard's bound (the aggregation cross-group reduction). Omitted under
 	// -kernel-filter, like the other full-run sections.
 	MsgRatios []msgRatioResult `json:"msg_ratios,omitempty"`
-	// Speedups are the multi-core wall-clock guards
-	// (kernelbench.SpeedupGuards), recorded only under -kernel-speedup:
-	// a single-CPU host cannot show parallel speedup, so the guards are
-	// opt-in rather than part of every run.
-	Speedups []speedupResult `json:"speedups,omitempty"`
 }
 
 type predictSweepResult struct {
@@ -395,15 +372,6 @@ type msgRatioResult struct {
 	OK     bool    `json:"ok"`
 }
 
-type speedupResult struct {
-	Name     string  `json:"name"`
-	Parallel string  `json:"parallel"`
-	Serial   string  `json:"serial"`
-	Speedup  float64 `json:"speedup"` // serial ns/op ÷ parallel ns/op
-	Min      float64 `json:"min"`
-	OK       bool    `json:"ok"`
-}
-
 type microResult struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -415,16 +383,6 @@ type microResult struct {
 	Guarded bool `json:"guarded,omitempty"`
 }
 
-type figure5Result struct {
-	SerialMS   float64 `json:"serial_ms"`
-	ParallelMS float64 `json:"parallel_ms"`
-	Workers    int     `json:"workers"`
-	Speedup    float64 `json:"speedup"`
-	// Note flags measurements that cannot show parallel speedup (e.g. a
-	// single-CPU host, where workers only add scheduling overhead).
-	Note string `json:"note,omitempty"`
-}
-
 // kernelBenchRun bundles the -kernel-bench mode's inputs.
 type kernelBenchRun struct {
 	path         string // output JSON (BENCH_kernel.json shape)
@@ -432,7 +390,6 @@ type kernelBenchRun struct {
 	filter       string // optional case-name regexp
 	diffPath     string // optional baseline JSON to diff against
 	diffOutPath  string // optional diff artifact path
-	speedup      bool   // evaluate SpeedupGuards (multi-core hosts only)
 	opts         harness.Options
 	// ctx stops the run between benchmark cases (SIGINT/SIGTERM); the
 	// partial document is still written.
@@ -440,10 +397,10 @@ type kernelBenchRun struct {
 }
 
 // run measures the kernel micro-benchmarks (optionally filtered) and the
-// figure5 serial-vs-parallel wall clock, writes them as one JSON
-// document, then applies the gates: zero-alloc guards, cross-case ratio
-// guards, and — under -kernel-diff — the ns/op regression bound against
-// a committed baseline.
+// full-run sections, writes them as one JSON document, then applies the
+// gates: zero-alloc guards, cross-case ratio guards, and — under
+// -kernel-diff — the ns/op regression bound against a committed
+// baseline.
 func (kb *kernelBenchRun) run() error {
 	var keep func(string) bool = func(string) bool { return true }
 	if kb.filter != "" {
@@ -499,7 +456,7 @@ func (kb *kernelBenchRun) run() error {
 	}
 	if interrupted {
 		// Flush the cases measured so far and stop; the gates and the
-		// figure5 comparison need a complete run to mean anything.
+		// full-run sections need a complete run to mean anything.
 		if err := writeJSONFile(kb.path, &doc); err != nil {
 			return err
 		}
@@ -538,37 +495,6 @@ func (kb *kernelBenchRun) run() error {
 		fmt.Printf("ratio %-22s %s/%s = %.3f (max %.2f) %s\n", g.Name, g.Num, g.Den, rr.Ratio, g.Max, status)
 	}
 
-	// Multi-core speedup guards, opt-in: they assert wall-clock scaling,
-	// which only a multi-core host can deliver. Filtered-out cases are
-	// skipped like the ratio guards.
-	if kb.speedup {
-		evaluated := 0
-		for _, g := range kernelbench.SpeedupGuards() {
-			par, okP := nsOf(g.Parallel)
-			ser, okS := nsOf(g.Serial)
-			if !okP || !okS {
-				continue
-			}
-			evaluated++
-			sr := speedupResult{Name: g.Name, Parallel: g.Parallel, Serial: g.Serial,
-				Speedup: ser / par, Min: g.MinSpeedup}
-			sr.OK = sr.Speedup >= g.MinSpeedup
-			doc.Speedups = append(doc.Speedups, sr)
-			status := "ok"
-			if !sr.OK {
-				status = "FAIL"
-				gateFailures = append(gateFailures,
-					fmt.Sprintf("%s: %s runs %.2fx faster than %s (want >= %.1fx; GOMAXPROCS=%d)",
-						g.Name, g.Parallel, sr.Speedup, g.Serial, g.MinSpeedup, runtime.GOMAXPROCS(0)))
-			}
-			fmt.Printf("speedup %-20s %s/%s = %.2fx (min %.1fx) %s\n",
-				g.Name, g.Serial, g.Parallel, sr.Speedup, g.MinSpeedup, status)
-		}
-		if evaluated == 0 {
-			return fmt.Errorf("-kernel-speedup: the filter %q excludes every speedup-guarded case", kb.filter)
-		}
-	}
-
 	// Counter-ratio guards: full runtime runs, so they join the other
 	// full-run sections in being skipped under -kernel-filter.
 	if kb.filter == "" {
@@ -595,12 +521,6 @@ func (kb *kernelBenchRun) run() error {
 	}
 
 	if kb.filter == "" {
-		fig5, err := kb.figure5()
-		if err != nil {
-			return err
-		}
-		doc.Figure5 = fig5
-
 		ps, err := kb.predictSweep()
 		if err != nil {
 			return err
@@ -633,46 +553,6 @@ func (kb *kernelBenchRun) run() error {
 			strings.Join(gateFailures, "\n  "))
 	}
 	return nil
-}
-
-// figure5 times the figure5 experiment under both engines.
-func (kb *kernelBenchRun) figure5() (*figure5Result, error) {
-	fig5, ok := harness.ByID("figure5")
-	if !ok {
-		return nil, fmt.Errorf("figure5 not registered")
-	}
-	workers := kb.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	timeRun := func(o harness.Options) (float64, error) {
-		start := time.Now()
-		_, err := harness.RunExperiment(fig5, o)
-		return float64(time.Since(start).Nanoseconds()) / 1e6, err
-	}
-	serialMS, err := timeRun(harness.Options{Scale: kb.opts.Scale, Engine: rt.EngineSerial})
-	if err != nil {
-		return nil, err
-	}
-	parallelMS, err := timeRun(harness.Options{Scale: kb.opts.Scale, Engine: rt.EngineParallel, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	res := &figure5Result{
-		SerialMS:   serialMS,
-		ParallelMS: parallelMS,
-		Workers:    workers,
-		Speedup:    serialMS / parallelMS,
-	}
-	numCPU := runtime.NumCPU()
-	if numCPU < 4 && res.Speedup < 2 {
-		res.Note = fmt.Sprintf(
-			"host has %d CPU(s); wall-clock speedup requires a multi-core host — results remain byte-identical",
-			numCPU)
-	}
-	fmt.Printf("figure5 wall clock: serial %.1fms, parallel(%d workers) %.1fms, speedup %.2fx on %d CPUs\n",
-		serialMS, workers, parallelMS, res.Speedup, numCPU)
-	return res, nil
 }
 
 // predictSweepMinSpeedup is the required wall-clock advantage of the

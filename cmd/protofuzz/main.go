@@ -1,9 +1,10 @@
 // Command protofuzz drives the deterministic protocol chaos subsystem
 // (internal/chaos): consecutive seeds derive synthetic workloads that
-// run under every {stache, predictive} × {serial, parallel} combination
-// with seeded interconnect jitter, cross-checked by a differential
-// oracle. Failing seeds shrink to a minimal reproducer printed as a
-// one-line command.
+// run under both coherent protocols {stache, predictive} with seeded
+// interconnect jitter, cross-checked by a differential oracle. Seeds run
+// side by side on GOMAXPROCS workers; the report and progress log are
+// assembled in seed order, so they do not depend on GOMAXPROCS. Failing
+// seeds shrink to a minimal reproducer printed as a one-line command.
 //
 // Fuzz a seed range (CI smoke):
 //
@@ -23,14 +24,14 @@
 //
 //	protofuzz -seeds 100 -mutate stache-skip-deferral -expect-fail
 //
-// -aggregate runs every combination with node-leader message
-// aggregation enabled (a timing-visible no-op on seeds that derive flat
+// -aggregate runs every protocol with node-leader message aggregation
+// enabled (a timing-visible no-op on seeds that derive flat
 // interconnects); aggregation-layer mutations such as agg-drop-entry
 // imply it. Shrunk reproducers of aggregated failures carry the flag.
 //
-// SIGINT interrupts a campaign gracefully: the seeds already run are
-// reported, failing-seed artifacts (-out) are flushed, and the process
-// exits 130.
+// SIGINT interrupts a campaign gracefully: no further seed starts, the
+// contiguous prefix of seeds that completed is reported, failing-seed
+// artifacts (-out) are flushed, and the process exits 130.
 package main
 
 import (
@@ -60,7 +61,7 @@ func main() {
 		maxIters   = flag.Int("max-iters", 0, "cap derived iteration count")
 		maxBlocks  = flag.Int("max-blocks", 0, "cap derived shared element pool")
 		mutate     = flag.String("mutate", "", "inject a named protocol defect (e.g. stache-skip-deferral)")
-		aggFlag    = flag.Bool("aggregate", false, "enable node-leader message aggregation on every combination")
+		aggFlag    = flag.Bool("aggregate", false, "enable node-leader message aggregation on every run")
 		jitter     = flag.Int("jitter", 0, "interconnect jitter pct: 0 = derive per seed, >0 force, <0 off")
 		maxEvents  = flag.Int64("max-events", 0, "per-run simulation event budget (0 = default)")
 		maxFail    = flag.Int("max-failures", 1, "stop after this many failing seeds")

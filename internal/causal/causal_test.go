@@ -128,7 +128,6 @@ func TestPathNoRecorder(t *testing.T) {
 func TestValidateCatchesBadSums(t *testing.T) {
 	p := &causal.Profile{
 		Schema: causal.SchemaVersion,
-		Engine: "serial",
 		PerNode: []causal.NodeProfile{{
 			Node:    0,
 			TotalNS: 100,

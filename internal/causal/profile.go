@@ -10,7 +10,7 @@ import (
 
 // SchemaVersion identifies the profile.json layout. Consumers (the
 // future internal/predict) must check it before parsing.
-const SchemaVersion = "presto-profile/1"
+const SchemaVersion = "presto-profile/2"
 
 // Buckets is the exact time-attribution breakdown: every simulated
 // nanosecond of a processor's timeline lands in exactly one bucket, so
@@ -112,44 +112,17 @@ type PathProfile struct {
 	TopSegments []SegmentJSON    `json:"top_segments"`
 }
 
-// EngineProfile is the parallel engine's flight data. Window counts and
-// histograms are deterministic; the *WallNS timers are wall-clock and
-// vary run to run (they never feed fingerprints or goldens).
-type EngineProfile struct {
-	Workers int `json:"workers"`
-	// Lanes is the engine's lane count; Lookahead names the window
-	// derivation ("pair" or "global").
-	Lanes     int    `json:"lanes,omitempty"`
-	Lookahead string `json:"lookahead,omitempty"`
-	// LookaheadNS is the executed window width: the pair matrix's
-	// narrowest row under "pair", the interconnect's global minimum
-	// latency under "global".
-	LookaheadNS   int64   `json:"lookahead_ns"`
-	Windows       int64   `json:"windows"`
-	Events        int64   `json:"events"`
-	SoloWindows   int64   `json:"solo_windows"`
-	MergedWindows int64   `json:"merged_windows"`
-	Steals        int64   `json:"steals"`
-	LaneHist      []int64 `json:"lane_hist"`
-	EventHist     []int64 `json:"event_hist"`
-	OpenWallNS    int64   `json:"open_wall_ns"`
-	ExecWallNS    int64   `json:"exec_wall_ns"`
-	CommitWallNS  int64   `json:"commit_wall_ns"`
-}
-
 // Profile is the profile.json artifact (see DESIGN.md §10 for the full
 // schema contract).
 type Profile struct {
-	Schema    string         `json:"schema"`
-	App       string         `json:"app,omitempty"`
-	Protocol  string         `json:"protocol"`
-	Nodes     int            `json:"nodes"`
-	BlockSize int            `json:"block_size"`
-	Engine    string         `json:"engine"`
-	ElapsedNS int64          `json:"elapsed_ns"`
-	PerNode   []NodeProfile  `json:"per_node"`
-	Path      PathProfile    `json:"critical_path"`
-	Flight    *EngineProfile `json:"engine_flight,omitempty"`
+	Schema    string        `json:"schema"`
+	App       string        `json:"app,omitempty"`
+	Protocol  string        `json:"protocol"`
+	Nodes     int           `json:"nodes"`
+	BlockSize int           `json:"block_size"`
+	ElapsedNS int64         `json:"elapsed_ns"`
+	PerNode   []NodeProfile `json:"per_node"`
+	Path      PathProfile   `json:"critical_path"`
 }
 
 // TopSegments returns the n longest segments of a path, ties broken by
@@ -197,8 +170,8 @@ func PathProfileOf(p Path, top int) PathProfile {
 //     simulated time exactly, and the per-phase buckets sum to the
 //     node buckets category by category
 //   - the protocol processor's buckets sum to its total
-//   - on serial runs, the critical-path length equals the end-to-end
-//     elapsed time (unless the recorder ring truncated the walk)
+//   - the critical-path length equals the end-to-end elapsed time
+//     (unless the recorder ring truncated the walk)
 func (p *Profile) Validate() error {
 	if p.Schema != SchemaVersion {
 		return fmt.Errorf("profile: schema %q, want %q", p.Schema, SchemaVersion)
@@ -218,7 +191,7 @@ func (p *Profile) Validate() error {
 			return fmt.Errorf("profile: node %d proto buckets sum %d != total %d", n.Node, got, n.ProtoTotalNS)
 		}
 	}
-	if p.Engine == "serial" && !p.Path.Truncated && p.Path.LengthNS != p.ElapsedNS {
+	if !p.Path.Truncated && p.Path.LengthNS != p.ElapsedNS {
 		return fmt.Errorf("profile: critical-path length %d != elapsed %d", p.Path.LengthNS, p.ElapsedNS)
 	}
 	return nil
@@ -241,11 +214,10 @@ func pct(part, whole int64) float64 {
 }
 
 // Render writes the human-readable profile report: machine attribution,
-// per-phase table, top critical-path segments, and (parallel runs) the
-// engine flight summary.
+// per-phase table and top critical-path segments.
 func (p *Profile) Render(w io.Writer) {
-	fmt.Fprintf(w, "causal profile: %s protocol=%s nodes=%d block=%d engine=%s\n",
-		orDefault(p.App, "?"), p.Protocol, p.Nodes, p.BlockSize, p.Engine)
+	fmt.Fprintf(w, "causal profile: %s protocol=%s nodes=%d block=%d\n",
+		orDefault(p.App, "?"), p.Protocol, p.Nodes, p.BlockSize)
 	fmt.Fprintf(w, "elapsed %v\n\n", sim.Time(p.ElapsedNS))
 
 	total := p.MachineBuckets()
@@ -323,25 +295,6 @@ func (p *Profile) Render(w io.Writer) {
 				s.Proc, s.Kind, sim.Time(s.EndNS-s.StartNS), sim.Time(s.StartNS), sim.Time(s.EndNS))
 		}
 	}
-
-	if f := p.Flight; f != nil {
-		fmt.Fprintf(w, "\nparallel engine: %d windows, %d events (%.1f events/window), %d solo-lane windows (%.1f%%)\n",
-			f.Windows, f.Events, avg(f.Events, f.Windows), f.SoloWindows, pct(f.SoloWindows, f.Windows))
-		if f.Lanes > 0 {
-			fmt.Fprintf(w, "  %d lanes, %s lookahead %v; %d merged-commit windows (%.1f%%), %d steals\n",
-				f.Lanes, orDefault(f.Lookahead, "global"), sim.Time(f.LookaheadNS),
-				f.MergedWindows, pct(f.MergedWindows, f.Windows), f.Steals)
-		}
-		fmt.Fprintf(w, "  active lanes per window:")
-		for i, c := range f.LaneHist {
-			if c != 0 {
-				fmt.Fprintf(w, " %d:%d", i+1, c)
-			}
-		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "  wall clock: open %v, exec %v, commit %v\n",
-			sim.Time(f.OpenWallNS), sim.Time(f.ExecWallNS), sim.Time(f.CommitWallNS))
-	}
 }
 
 func orDefault(s, def string) string {
@@ -349,11 +302,4 @@ func orDefault(s, def string) string {
 		return def
 	}
 	return s
-}
-
-func avg(num, den int64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
 }

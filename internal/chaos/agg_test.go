@@ -1,6 +1,5 @@
 // Aggregation differential band: node-leader aggregation must be
-// timing-visible but memory-invariant on every derived seed, the
-// parallel engine must stay byte-identical with aggregation on, and the
+// timing-visible but memory-invariant on every derived seed, and the
 // agg-drop-entry mutation must be caught and shrunk by the oracle.
 package chaos
 
@@ -16,8 +15,7 @@ const aggMaxEvents = 20_000_000
 // TestAggregationBand sweeps seeds through aggregated and unaggregated
 // runs. Clustered seeds must keep final memory identical (timing may
 // move); flat seeds must be bit-for-bit unchanged (the layer is a
-// no-op); and serial/parallel fingerprints must match with aggregation
-// on.
+// no-op).
 func TestAggregationBand(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -26,18 +24,14 @@ func TestAggregationBand(t *testing.T) {
 	clustered, aggregated := 0, 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		s := Derive(seed, ScaleQuick)
-		off := Execute(s, rt.ProtoPredictive, rt.EngineSerial, "", aggMaxEvents)
-		on := ExecuteAggregated(s, rt.ProtoPredictive, rt.EngineSerial, "", aggMaxEvents)
+		off := Execute(s, rt.ProtoPredictive, "", aggMaxEvents)
+		on := ExecuteAggregated(s, rt.ProtoPredictive, "", aggMaxEvents)
 		if !off.Clean() || !on.Clean() {
 			t.Fatalf("seed %d (%s): unclean runs:\noff: %v\non:  %v", seed, s, off, on)
 		}
 		if off.MemHash != on.MemHash {
 			t.Fatalf("seed %d (%s): aggregation changed memory: %016x vs %016x",
 				seed, s, off.MemHash, on.MemHash)
-		}
-		onPar := ExecuteAggregated(s, rt.ProtoPredictive, rt.EngineParallel, "", aggMaxEvents)
-		if d := on.diff(onPar); len(d) != 0 {
-			t.Fatalf("seed %d (%s): aggregated engines diverge: %v", seed, s, d)
 		}
 		if s.clustered() {
 			clustered++
@@ -88,7 +82,7 @@ func TestAggDropMutationCaughtAndShrunk(t *testing.T) {
 
 // TestHierarchicalTopologySeeds pins the sentinel materialization and
 // executes a handcrafted fat-tree spec: 16 nodes is the one quick-range
-// count where fattree:2 survives, and the engines must agree on it.
+// count where fattree:2 survives, and repeated runs must agree on it.
 func TestHierarchicalTopologySeeds(t *testing.T) {
 	meshes, fattrees := 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
@@ -112,12 +106,12 @@ func TestHierarchicalTopologySeeds(t *testing.T) {
 	s.Nodes = 16
 	s.Net = "fattree:2"
 	s.Elems = 4 * s.Nodes
-	serial := ExecuteAggregated(s, rt.ProtoPredictive, rt.EngineSerial, "", aggMaxEvents)
-	par := ExecuteAggregated(s, rt.ProtoPredictive, rt.EngineParallel, "", aggMaxEvents)
-	if !serial.Clean() {
-		t.Fatalf("fat-tree run unclean: %v", serial)
+	first := ExecuteAggregated(s, rt.ProtoPredictive, "", aggMaxEvents)
+	again := ExecuteAggregated(s, rt.ProtoPredictive, "", aggMaxEvents)
+	if !first.Clean() {
+		t.Fatalf("fat-tree run unclean: %v", first)
 	}
-	if d := serial.diff(par); len(d) != 0 {
-		t.Fatalf("fat-tree engines diverge: %v", d)
+	if d := first.diff(again); len(d) != 0 {
+		t.Fatalf("fat-tree reruns diverge: %v", d)
 	}
 }

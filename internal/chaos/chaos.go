@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+
+	"presto/internal/runpool"
 )
 
 // Options configures a fuzzing campaign (and, with Seeds=1, a single
@@ -21,7 +23,7 @@ type Options struct {
 	// (rt.Mutation*). The campaign is then expected to fail — mutation
 	// testing of the oracle itself.
 	Mutation string
-	// Aggregate runs every combination with node-leader message
+	// Aggregate runs every protocol with node-leader message
 	// aggregation enabled (rt.Config.Aggregate). A timing-visible no-op
 	// on seeds whose interconnect is flat; implied by the agg-drop-entry
 	// mutation.
@@ -39,7 +41,8 @@ type Options struct {
 	// NoShrink skips minimizing failing seeds.
 	NoShrink bool
 	// Ctx, when non-nil, cancels the campaign between seeds (and between
-	// a failure and its shrink): Fuzz returns the partial report with
+	// a failure and its shrink): no further seed starts, and Fuzz returns
+	// the report for the contiguous prefix of seeds that completed, with
 	// Interrupted set, so callers can flush artifacts for the seeds that
 	// did run instead of dying mid-write.
 	Ctx context.Context
@@ -113,20 +116,25 @@ func (r Report) Ok() bool { return len(r.Failures) == 0 }
 // Fuzz runs the campaign: consecutive seeds through the differential
 // oracle, shrinking each failure to a minimal reproducer, stopping after
 // Options.MaxFailures failing seeds.
+//
+// Seeds run side by side on a runpool, but everything observable is
+// decided in seed order on the calling goroutine, so the Report and the
+// Log bytes are those of a serial loop at any GOMAXPROCS: SeedsRun and
+// Failures are in seed order, the MaxFailures stop is taken on the
+// in-order prefix (seeds run ahead past it are dropped unlogged), and
+// shrinking happens in seed order. A cancelled Ctx stops dispatching new
+// seeds; the report then covers the contiguous prefix that completed.
 func Fuzz(o Options) Report {
 	o = o.withDefaults()
 	var rep Report
-	for i := 0; i < o.Seeds; i++ {
-		if o.Ctx != nil && o.Ctx.Err() != nil {
-			rep.Interrupted = true
-			break
-		}
+	runpool.Ordered(o.Ctx, o.Seeds, func(i int) SeedResult {
+		return RunSeed(o.Start+int64(i), o)
+	}, func(i int, r SeedResult) bool {
 		seed := o.Start + int64(i)
-		r := RunSeed(seed, o)
 		rep.SeedsRun++
 		if !r.Failed() {
 			o.logf("seed %d ok (%s)", seed, r.Spec)
-			continue
+			return true
 		}
 		o.logf("seed %d FAILED:\n%s", seed, r.Render())
 		f := Failure{Seed: seed, Result: r}
@@ -140,9 +148,10 @@ func Fuzz(o Options) Report {
 		o.logf("minimal: nodes=%d phases=%d iters=%d blocks=%d\nrepro: %s",
 			f.Min.Nodes, f.Min.Phases, f.Min.Iters, f.Min.Blocks, f.Repro)
 		rep.Failures = append(rep.Failures, f)
-		if len(rep.Failures) >= o.MaxFailures {
-			break
-		}
-	}
+		return len(rep.Failures) < o.MaxFailures
+	})
+	// Short of the band without reaching MaxFailures: only a cancelled
+	// Ctx stops dispatching early.
+	rep.Interrupted = rep.SeedsRun < o.Seeds && len(rep.Failures) < o.MaxFailures
 	return rep
 }

@@ -68,7 +68,7 @@ func TestDeriveCappedRespectsCaps(t *testing.T) {
 }
 
 // TestCleanSeeds is the oracle's own health check: honest protocols must
-// survive a band of seeds under every protocol × engine combination.
+// survive a band of seeds under every protocol.
 func TestCleanSeeds(t *testing.T) {
 	n := 12
 	if testing.Short() {
@@ -115,8 +115,8 @@ func TestMutationCaughtAndShrunk(t *testing.T) {
 // the simulation).
 func TestExecuteDeterministic(t *testing.T) {
 	s := Derive(7, ScaleQuick)
-	a := Execute(s, rt.ProtoPredictive, rt.EngineParallel, "", 1_000_000)
-	b := Execute(s, rt.ProtoPredictive, rt.EngineParallel, "", 1_000_000)
+	a := Execute(s, rt.ProtoPredictive, "", 1_000_000)
+	b := Execute(s, rt.ProtoPredictive, "", 1_000_000)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("repeated runs diverge:\n%v\n%v", a, b)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"presto/internal/rt"
+	"presto/internal/runpool/pooltest"
 )
 
 const profMaxEvents = 5_000_000
@@ -13,7 +14,7 @@ const profMaxEvents = 5_000_000
 // TestAttributionInvariantBand runs a 200-seed chaos band with the
 // causal profiler on and checks, for every seed:
 //   - the attribution invariant (per-node bucket sums equal total
-//     simulated time exactly; serial critical-path length equals the
+//     simulated time exactly; critical-path length equals the
 //     end-to-end elapsed time) — enforced by ExecuteProfiled
 //   - the fingerprint is byte-identical to the unprofiled run
 func TestAttributionInvariantBand(t *testing.T) {
@@ -21,8 +22,8 @@ func TestAttributionInvariantBand(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		s := Derive(seed, ScaleQuick)
 		proto := protos[seed%int64(len(protos))]
-		base := Execute(s, proto, rt.EngineSerial, "", profMaxEvents)
-		fp, p, err := ExecuteProfiled(s, proto, rt.EngineSerial, profMaxEvents)
+		base := Execute(s, proto, "", profMaxEvents)
+		fp, p, err := ExecuteProfiled(s, proto, profMaxEvents)
 		if err != nil {
 			t.Fatalf("seed %d %s: %v\nspec: %s", seed, proto, err, s)
 		}
@@ -35,50 +36,77 @@ func TestAttributionInvariantBand(t *testing.T) {
 	}
 }
 
-// TestAttributionInvariantParallel repeats the invariant check under the
-// parallel engine on a smaller band, additionally asserting the
-// parallel fingerprint (profiled) equals the serial one (unprofiled) —
-// the strongest cross-engine × profiler identity.
+// TestAttributionInvariantParallel repeats the invariant check with the
+// profiled runs of a smaller band side by side on the run pool, as the
+// predictor's calibration replays run, and additionally asserts that each
+// profiled fingerprint equals the unprofiled serial one and each profile
+// is byte-identical to the same run profiled alone: the recorder keeps no
+// state across machines.
 func TestAttributionInvariantParallel(t *testing.T) {
-	for seed := int64(0); seed < 24; seed++ {
-		s := Derive(seed, ScaleQuick)
-		base := Execute(s, rt.ProtoPredictive, rt.EngineSerial, "", profMaxEvents)
-		fp, p, err := ExecuteProfiled(s, rt.ProtoPredictive, rt.EngineParallel, profMaxEvents)
+	type profiled struct {
+		fp   Fingerprint
+		prof []byte
+		err  error
+	}
+	profile := func(seed int64) profiled {
+		fp, p, err := ExecuteProfiled(Derive(seed, ScaleQuick), rt.ProtoPredictive, profMaxEvents)
 		if err != nil {
-			t.Fatalf("seed %d: %v\nspec: %s", seed, err, s)
+			return profiled{err: err}
 		}
-		if d := base.diff(fp); len(d) > 0 {
-			t.Fatalf("seed %d: profiled parallel diverged from serial: %v", seed, d)
+		b, err := json.Marshal(p)
+		return profiled{fp: fp, prof: b, err: err}
+	}
+	const seeds = 24
+	pooled := pooltest.SideBySide(seeds, func(i int) profiled { return profile(int64(i)) })
+	for seed := int64(0); seed < seeds; seed++ {
+		s := Derive(seed, ScaleQuick)
+		got := pooled[seed]
+		if got.err != nil {
+			t.Fatalf("seed %d: %v\nspec: %s", seed, got.err, s)
 		}
-		if p.Flight == nil {
-			t.Fatalf("seed %d: parallel profile missing engine flight record", seed)
+		base := Execute(s, rt.ProtoPredictive, "", profMaxEvents)
+		if d := base.diff(got.fp); len(d) > 0 {
+			t.Fatalf("seed %d: profiled pooled run diverged from serial: %v", seed, d)
 		}
-		if p.Flight.Events == 0 || p.Flight.Windows == 0 {
-			t.Fatalf("seed %d: empty engine flight record: %+v", seed, p.Flight)
+		alone := profile(seed)
+		if alone.err != nil {
+			t.Fatalf("seed %d: %v", seed, alone.err)
+		}
+		if !bytes.Equal(alone.prof, got.prof) {
+			t.Fatalf("seed %d: profile differs when run side by side\nalone:  %.300s\npooled: %.300s", seed, alone.prof, got.prof)
 		}
 	}
 }
 
 // TestPhaseMetricsParallelMatchesSerial asserts the full metrics report
-// — per-phase stats and every OnCommit-deferred registry counter — is
-// byte-identical between the serial and parallel engines across a seed
-// band. Deferred side effects must replay in commit order, so the JSON
-// encodings must match exactly.
+// — per-phase stats and every registry counter — of runs executed side by
+// side on the run pool is byte-identical to the serial loop's across a
+// seed band, for both protocols at once: machines share no counters.
 func TestPhaseMetricsParallelMatchesSerial(t *testing.T) {
-	for seed := int64(0); seed < 16; seed++ {
-		s := Derive(seed, ScaleQuick)
-		for _, proto := range []rt.ProtocolKind{rt.ProtoStache, rt.ProtoPredictive} {
-			_, ms := run(s, proto, rt.EngineSerial, "", profMaxEvents, "", "", false, false)
-			_, mp := run(s, proto, rt.EngineParallel, "", profMaxEvents, "", "", false, false)
-			if ms == nil || mp == nil {
-				t.Fatalf("seed %d %s: run failed", seed, proto)
-			}
-			bs := mustJSON(t, ms.Report())
-			bp := mustJSON(t, mp.Report())
-			if !bytes.Equal(bs, bp) {
-				t.Fatalf("seed %d %s: metrics report differs across engines\nspec: %s\nserial:   %.300s\nparallel: %.300s",
-					seed, proto, s, bs, bp)
-			}
+	protos := []rt.ProtocolKind{rt.ProtoStache, rt.ProtoPredictive}
+	const seeds = 16
+	report := func(i int) []byte {
+		s := Derive(int64(i/len(protos)), ScaleQuick)
+		_, m := run(s, protos[i%len(protos)], "", profMaxEvents, "", "", false, false)
+		if m == nil {
+			return nil
+		}
+		b, err := json.Marshal(m.Report())
+		if err != nil {
+			panic(err)
+		}
+		return b
+	}
+	pooled := pooltest.SideBySide(seeds*len(protos), report)
+	for i, bp := range pooled {
+		seed, proto := i/len(protos), protos[i%len(protos)]
+		bs := report(i)
+		if bs == nil || bp == nil {
+			t.Fatalf("seed %d %s: run failed", seed, proto)
+		}
+		if !bytes.Equal(bs, bp) {
+			t.Fatalf("seed %d %s: metrics report differs when run side by side\nspec: %s\nserial: %.300s\npooled: %.300s",
+				seed, proto, Derive(int64(seed), ScaleQuick), bs, bp)
 		}
 	}
 }
@@ -96,11 +124,11 @@ func mustJSON(t *testing.T, v any) []byte {
 // so accidental attribution drift is caught: same seed, same buckets.
 func TestProfiledGoldenStability(t *testing.T) {
 	s := Derive(7, ScaleQuick)
-	_, a, err := ExecuteProfiled(s, rt.ProtoPredictive, rt.EngineSerial, profMaxEvents)
+	_, a, err := ExecuteProfiled(s, rt.ProtoPredictive, profMaxEvents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := ExecuteProfiled(s, rt.ProtoPredictive, rt.EngineSerial, profMaxEvents)
+	_, b, err := ExecuteProfiled(s, rt.ProtoPredictive, profMaxEvents)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,28 +13,24 @@ import (
 // — same elapsed time, kernel stats (events, deliveries, resumes, queue
 // high-water mark), counters, final memory AND identical quiescent
 // protocol state (StateHash). The scheduler may change complexity, never
-// dispatch order. Both kernel engines are covered, so the matrix is
-// {wheel,heap} × {serial,parallel} per protocol per seed.
+// dispatch order.
 func TestSchedDifferential(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 40
 	}
 	protos := []rt.ProtocolKind{rt.ProtoStache, rt.ProtoPredictive}
-	engines := []rt.EngineKind{rt.EngineSerial, rt.EngineParallel}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		s := Derive(seed, ScaleQuick)
 		for _, proto := range protos {
-			for _, engine := range engines {
-				wheel := ExecuteSched(s, proto, engine, rt.SchedWheel, 2_000_000)
-				heap := ExecuteSched(s, proto, engine, rt.SchedHeap, 2_000_000)
-				if !reflect.DeepEqual(wheel, heap) {
-					t.Fatalf("seed %d %s/%s: wheel vs heap diverge on %v\nwheel: %v\nheap:  %v",
-						seed, proto, engine, wheel.diff(heap), wheel, heap)
-				}
-				if !wheel.Clean() {
-					t.Fatalf("seed %d %s/%s: unclean run: %v", seed, proto, engine, wheel)
-				}
+			wheel := ExecuteSched(s, proto, rt.SchedWheel, 2_000_000)
+			heap := ExecuteSched(s, proto, rt.SchedHeap, 2_000_000)
+			if !reflect.DeepEqual(wheel, heap) {
+				t.Fatalf("seed %d %s: wheel vs heap diverge on %v\nwheel: %v\nheap:  %v",
+					seed, proto, wheel.diff(heap), wheel, heap)
+			}
+			if !wheel.Clean() {
+				t.Fatalf("seed %d %s: unclean run: %v", seed, proto, wheel)
 			}
 		}
 	}
@@ -44,8 +40,8 @@ func TestSchedDifferential(t *testing.T) {
 // behave exactly like an explicit rt.SchedWheel.
 func TestSchedDefaultIsWheel(t *testing.T) {
 	s := Derive(7, ScaleQuick)
-	def := Execute(s, rt.ProtoPredictive, rt.EngineSerial, "", 2_000_000)
-	wheel := ExecuteSched(s, rt.ProtoPredictive, rt.EngineSerial, rt.SchedWheel, 2_000_000)
+	def := Execute(s, rt.ProtoPredictive, "", 2_000_000)
+	wheel := ExecuteSched(s, rt.ProtoPredictive, rt.SchedWheel, 2_000_000)
 	if !reflect.DeepEqual(def, wheel) {
 		t.Fatalf("default scheduler diverges from wheel: %v", def.diff(wheel))
 	}

@@ -1,16 +1,15 @@
 // Package chaos is the repository's deterministic stress/fuzz subsystem.
 // From a single int64 seed it derives a random machine shape and a
 // multi-iteration phase program, executes it on the real runtime under
-// every {protocol} × {engine} combination, and cross-checks the results
-// with a differential oracle (same final memory across protocols,
-// byte-identical fingerprints across engines, protocol invariants and
-// exact pre-send accounting at quiescence). Failing seeds shrink to a
+// every coherent protocol, and cross-checks the results with a
+// differential oracle (same final memory across protocols, protocol
+// invariants and exact pre-send accounting at quiescence). Failing seeds shrink to a
 // minimal reproducer expressible as a one-line protofuzz command.
 //
 // Everything is a pure function of the seed: derivation, the workload's
 // memory accesses, and the interconnect perturbation (network.Params
 // jitter keyed on simulated state only). A seed therefore reproduces
-// exactly on any host, under either simulation engine.
+// exactly on any host, whichever seeds run beside it.
 package chaos
 
 import (
@@ -178,9 +177,9 @@ func DeriveCapped(seed int64, scale Scale, c Caps) Spec {
 	// payload-carrying grants they chase (the deferral races). The
 	// "cluster", "mesh" and "fattree" entries are sentinels clamp()
 	// materializes into concrete shapes once the final node count is
-	// known — the hierarchical topologies exercise the parallel engine's
-	// pair-matrix lookahead, lane coarsening, and the distance-dependent
-	// mesh transit.
+	// known — the hierarchical topologies exercise pair-dependent
+	// transit, node-leader aggregation, and the distance-dependent mesh
+	// transit.
 	s.Net = []string{"cm5", "now", "hwdsm", "hwdsm",
 		"cluster", "cluster", "mesh", "fattree"}[r.intn(8)]
 	s.BlockSize = []int{32, 64, 128, 256}[r.intn(4)]

@@ -24,8 +24,8 @@ func TestStorageDifferential(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		s := Derive(seed, ScaleQuick)
 		for _, proto := range protos {
-			dense := ExecuteStorage(s, proto, rt.EngineSerial, "", 2_000_000, blockstate.Dense)
-			ref := ExecuteStorage(s, proto, rt.EngineSerial, "", 2_000_000, blockstate.MapRef)
+			dense := ExecuteStorage(s, proto, "", 2_000_000, blockstate.Dense)
+			ref := ExecuteStorage(s, proto, "", 2_000_000, blockstate.MapRef)
 			if !reflect.DeepEqual(dense, ref) {
 				t.Fatalf("seed %d %s: dense vs map-reference diverge on %v\ndense: %v\nref:   %v",
 					seed, proto, dense.diff(ref), dense, ref)
@@ -41,8 +41,8 @@ func TestStorageDifferential(t *testing.T) {
 // behave exactly like an explicit blockstate.Dense.
 func TestStorageDefaultIsDense(t *testing.T) {
 	s := Derive(11, ScaleQuick)
-	def := Execute(s, rt.ProtoPredictive, rt.EngineSerial, "", 2_000_000)
-	dense := ExecuteStorage(s, rt.ProtoPredictive, rt.EngineSerial, "", 2_000_000, blockstate.Dense)
+	def := Execute(s, rt.ProtoPredictive, "", 2_000_000)
+	dense := ExecuteStorage(s, rt.ProtoPredictive, "", 2_000_000, blockstate.Dense)
 	if !reflect.DeepEqual(def, dense) {
 		t.Fatalf("default storage diverges from dense: %v", def.diff(dense))
 	}

@@ -15,7 +15,7 @@ import (
 
 // Fingerprint condenses one run into the values the differential oracle
 // compares. Every field is deterministic for a deterministic simulation,
-// so engine comparisons assert full equality.
+// so repeated or differently-observed runs assert full equality.
 type Fingerprint struct {
 	Err        string          `json:"err,omitempty"`
 	ElapsedNS  int64           `json:"elapsed_ns"`
@@ -42,123 +42,63 @@ func (f Fingerprint) String() string {
 	return s
 }
 
-// diff lists the fields on which two fingerprints disagree (engine
-// divergence reporting).
-func (f Fingerprint) diff(g Fingerprint) []string {
-	var out []string
-	add := func(field string, a, b any) {
-		out = append(out, fmt.Sprintf("%s: %v vs %v", field, a, b))
-	}
-	if f.Err != g.Err {
-		add("err", f.Err, g.Err)
-	}
-	if f.ElapsedNS != g.ElapsedNS {
-		add("elapsed_ns", f.ElapsedNS, g.ElapsedNS)
-	}
-	if f.Kernel != g.Kernel {
-		add("kernel", f.Kernel, g.Kernel)
-	}
-	if f.Counters != g.Counters {
-		add("counters", f.Counters, g.Counters)
-	}
-	if f.MemHash != g.MemHash {
-		add("mem_hash", fmt.Sprintf("%016x", f.MemHash), fmt.Sprintf("%016x", g.MemHash))
-	}
-	if f.StateHash != g.StateHash {
-		add("state_hash", fmt.Sprintf("%016x", f.StateHash), fmt.Sprintf("%016x", g.StateHash))
-	}
-	if len(f.Violations) != len(g.Violations) {
-		add("violations", len(f.Violations), len(g.Violations))
-	} else {
-		for i := range f.Violations {
-			if f.Violations[i] != g.Violations[i] {
-				add("violation", f.Violations[i], g.Violations[i])
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Execute runs the spec once under one protocol × engine combination and
-// fingerprints the outcome. mutation names an injected protocol defect
-// (rt.Mutation*; empty for honest runs); maxEvents guards against
-// livelock (a mutated protocol may spin).
-func Execute(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64) Fingerprint {
-	return execute(s, proto, engine, mutation, maxEvents, "", "", false)
+// Execute runs the spec once under one protocol and fingerprints the
+// outcome. mutation names an injected protocol defect (rt.Mutation*;
+// empty for honest runs); maxEvents guards against livelock (a mutated
+// protocol may spin).
+func Execute(s Spec, proto rt.ProtocolKind, mutation string, maxEvents int64) Fingerprint {
+	return execute(s, proto, mutation, maxEvents, "", "", false)
 }
 
 // ExecuteAggregated is Execute with node-leader aggregation enabled
 // (rt.Config.Aggregate; a timing-visible no-op on flat interconnects).
-func ExecuteAggregated(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64) Fingerprint {
-	return execute(s, proto, engine, mutation, maxEvents, "", "", true)
+func ExecuteAggregated(s Spec, proto rt.ProtocolKind, mutation string, maxEvents int64) Fingerprint {
+	return execute(s, proto, mutation, maxEvents, "", "", true)
 }
 
 // ExecuteStorage is Execute with an explicit block-state storage backend
 // (the dense-vs-map differential; empty means the dense default).
-func ExecuteStorage(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64, storage blockstate.Kind) Fingerprint {
-	return execute(s, proto, engine, mutation, maxEvents, storage, "", false)
+func ExecuteStorage(s Spec, proto rt.ProtocolKind, mutation string, maxEvents int64, storage blockstate.Kind) Fingerprint {
+	return execute(s, proto, mutation, maxEvents, storage, "", false)
 }
 
 // ExecuteSched is Execute with an explicit kernel event scheduler (the
 // wheel-vs-heap differential; empty means the wheel default).
-func ExecuteSched(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, sched rt.SchedKind, maxEvents int64) Fingerprint {
-	return execute(s, proto, engine, "", maxEvents, "", sched, false)
-}
-
-// EngineConfig pins the parallel engine's execution knobs for a
-// differential run: worker count, lookahead derivation, and the
-// work-stealing ablation. The zero value is the engine's default.
-type EngineConfig struct {
-	Workers   int
-	Lookahead rt.LookaheadKind
-	NoSteal   bool
-}
-
-// ExecuteEngine runs the spec on the parallel engine with explicit
-// engine knobs and fingerprints the outcome. The requested worker count
-// is clamped to the spec's lane count (a clustered interconnect coarsens
-// lanes to node groups), so band tests can sweep fixed worker counts
-// across arbitrary derived shapes.
-func ExecuteEngine(s Spec, proto rt.ProtocolKind, ec EngineConfig, maxEvents int64) Fingerprint {
-	fp, _ := runEngine(s, proto, rt.EngineParallel, "", maxEvents, &ec)
-	return fp
+func ExecuteSched(s Spec, proto rt.ProtocolKind, sched rt.SchedKind, maxEvents int64) Fingerprint {
+	return execute(s, proto, "", maxEvents, "", sched, false)
 }
 
 // RunConfig pins every execution knob for one configured run — the
 // serving layer's single-combination job shape (internal/serve), where a
-// spec names its protocol, engine, scheduler and storage backend
-// explicitly instead of running the differential matrix. Zero values
-// mean the runtime defaults (rt.Config.withDefaults).
+// spec names its protocol, scheduler and storage backend explicitly
+// instead of running the differential matrix. Zero values mean the
+// runtime defaults (rt.Config.withDefaults).
 type RunConfig struct {
 	Protocol  rt.ProtocolKind
-	Engine    rt.EngineKind
 	Sched     rt.SchedKind
 	Storage   blockstate.Kind
-	Lookahead rt.LookaheadKind
-	NoSteal   bool
-	Workers   int
 	MaxEvents int64
 	Aggregate bool
 }
 
-// ExecuteRun runs the spec once under an explicit run configuration and
-// fingerprints the outcome. Worker counts are clamped to the spec's lane
-// count like every other entry point.
-func ExecuteRun(s Spec, rc RunConfig) Fingerprint {
-	cfg := rt.Config{
+// config expands the run configuration into the machine configuration
+// for the spec's shape.
+func (rc RunConfig) config(s Spec) rt.Config {
+	return rt.Config{
 		Nodes:     s.Nodes,
 		BlockSize: s.BlockSize,
 		Protocol:  rc.Protocol,
-		Engine:    rc.Engine,
 		Sched:     rc.Sched,
 		Storage:   rc.Storage,
-		Lookahead: rc.Lookahead,
-		NoSteal:   rc.NoSteal,
-		Workers:   rc.Workers,
 		MaxEvents: rc.MaxEvents,
+		Aggregate: rc.Aggregate,
 	}
-	fp, _ := runConfigured(s, cfg)
+}
+
+// ExecuteRun runs the spec once under an explicit run configuration and
+// fingerprints the outcome.
+func ExecuteRun(s Spec, rc RunConfig) Fingerprint {
+	fp, _ := runConfigured(s, rc.config(s))
 	return fp
 }
 
@@ -167,8 +107,8 @@ func ExecuteRun(s Spec, rc RunConfig) Fingerprint {
 // may not perturb the simulation — plus the assembled profile, already
 // checked against the attribution invariant (per-node bucket sums equal
 // total simulated time; serial critical-path length equals elapsed).
-func ExecuteProfiled(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, maxEvents int64) (Fingerprint, *causal.Profile, error) {
-	fp, m := run(s, proto, engine, "", maxEvents, "", "", true, false)
+func ExecuteProfiled(s Spec, proto rt.ProtocolKind, maxEvents int64) (Fingerprint, *causal.Profile, error) {
+	fp, m := run(s, proto, "", maxEvents, "", "", true, false)
 	if m == nil {
 		return fp, nil, fmt.Errorf("chaos: profiled run failed: %s", fp.Err)
 	}
@@ -188,21 +128,8 @@ func ExecuteProfiled(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, maxEve
 // wanting differential checks should run ExecuteRun separately; a
 // calibration run is observation-identical to the plain run anyway.
 func ExecuteCalibration(s Spec, rc RunConfig) (*rt.Machine, error) {
-	cfg := rt.Config{
-		Nodes:     s.Nodes,
-		BlockSize: s.BlockSize,
-		Protocol:  rc.Protocol,
-		Engine:    rc.Engine,
-		Sched:     rc.Sched,
-		Storage:   rc.Storage,
-		Lookahead: rc.Lookahead,
-		NoSteal:   rc.NoSteal,
-		Workers:   rc.Workers,
-		MaxEvents: rc.MaxEvents,
-		Aggregate: rc.Aggregate,
-		Profile:   true,
-		Record:    true,
-	}
+	cfg := rc.config(s)
+	cfg.Profile, cfg.Record = true, true
 	fp, m := runConfigured(s, cfg)
 	if m == nil {
 		return nil, fmt.Errorf("chaos: calibration run failed: %s", fp.Err)
@@ -210,19 +137,18 @@ func ExecuteCalibration(s Spec, rc RunConfig) (*rt.Machine, error) {
 	return m, nil
 }
 
-func execute(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64, storage blockstate.Kind, sched rt.SchedKind, agg bool) Fingerprint {
-	fp, _ := run(s, proto, engine, mutation, maxEvents, storage, sched, false, agg)
+func execute(s Spec, proto rt.ProtocolKind, mutation string, maxEvents int64, storage blockstate.Kind, sched rt.SchedKind, agg bool) Fingerprint {
+	fp, _ := run(s, proto, mutation, maxEvents, storage, sched, false, agg)
 	return fp
 }
 
 // run executes the spec and returns the machine alongside the
 // fingerprint (nil when the run itself errored).
-func run(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64, storage blockstate.Kind, sched rt.SchedKind, profile bool, agg bool) (Fingerprint, *rt.Machine) {
+func run(s Spec, proto rt.ProtocolKind, mutation string, maxEvents int64, storage blockstate.Kind, sched rt.SchedKind, profile bool, agg bool) (Fingerprint, *rt.Machine) {
 	cfg := rt.Config{
 		Nodes:     s.Nodes,
 		BlockSize: s.BlockSize,
 		Protocol:  proto,
-		Engine:    engine,
 		MaxEvents: maxEvents, ChaosMutation: mutation,
 		Storage:   storage,
 		Sched:     sched,
@@ -232,42 +158,12 @@ func run(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, m
 	return runConfigured(s, cfg)
 }
 
-// runEngine is run with explicit parallel-engine knobs.
-func runEngine(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64, ec *EngineConfig) (Fingerprint, *rt.Machine) {
-	cfg := rt.Config{
-		Nodes:     s.Nodes,
-		BlockSize: s.BlockSize,
-		Protocol:  proto,
-		Engine:    engine,
-		MaxEvents: maxEvents, ChaosMutation: mutation,
-	}
-	if ec != nil {
-		cfg.Lookahead = ec.Lookahead
-		cfg.NoSteal = ec.NoSteal
-		cfg.Workers = ec.Workers
-	}
-	return runConfigured(s, cfg)
-}
-
 func runConfigured(s Spec, cfg rt.Config) (Fingerprint, *rt.Machine) {
 	base, err := network.Preset(s.Net)
 	if err != nil {
 		panic(err) // derivation only emits known presets
 	}
-	net := base.WithJitter(s.JitterPct, uint64(s.Seed))
-	cfg.Net = net
-	// Clamp an explicit worker request to the machine's lane count: a
-	// clustered interconnect coarsens lanes to node groups, and the band
-	// tests sweep fixed worker counts over arbitrary derived shapes.
-	if cfg.Engine == rt.EngineParallel && cfg.Workers > 0 {
-		lanes := s.Nodes
-		if net.Clustered() {
-			lanes = s.Nodes / net.GroupSize
-		}
-		if cfg.Workers > lanes {
-			cfg.Workers = lanes
-		}
-	}
+	cfg.Net = base.WithJitter(s.JitterPct, uint64(s.Seed))
 	m := rt.New(cfg)
 	wl := buildWorkload(m, s)
 	var fp Fingerprint

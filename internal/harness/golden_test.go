@@ -17,8 +17,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV files
 
 // TestFigureCSVGolden locks the figure 5–7 harness output against
 // committed golden files: the quick-scale CSV rows — execution times,
-// fault counts, message counts — must reproduce bit-exactly under every
-// {scheduler} × {engine} combination. Any intentional change to the
+// fault counts, message counts — must reproduce bit-exactly under both
+// event schedulers. Any intentional change to the
 // protocols, cost model or workloads shows up as a reviewable golden diff
 // (regenerate with -update).
 func TestFigureCSVGolden(t *testing.T) {
@@ -33,18 +33,14 @@ func TestFigureCSVGolden(t *testing.T) {
 			for _, o := range []Options{
 				{Scale: Quick, Sched: rt.SchedWheel},
 				{Scale: Quick, Sched: rt.SchedHeap},
-				{Scale: Quick, Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4},
-				{Scale: Quick, Sched: rt.SchedHeap, Engine: rt.EngineParallel, Workers: 4},
-				{Scale: Quick, Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4, Lookahead: rt.LookaheadGlobal},
-				{Scale: Quick, Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4, NoSteal: true},
 			} {
-				res, err := RunExperiment(e, o)
+				res, err := e.Run(o)
 				if err != nil {
-					t.Fatalf("%s (%s/%s): %v", id, o.Engine, o.Sched, err)
+					t.Fatalf("%s (%s): %v", id, o.Sched, err)
 				}
 				var buf bytes.Buffer
 				res.CSV(&buf)
-				if *updateGolden && o.Engine != rt.EngineParallel && o.Sched == rt.SchedWheel {
+				if *updateGolden && o.Sched == rt.SchedWheel {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 						t.Fatal(err)
 					}
@@ -57,8 +53,8 @@ func TestFigureCSVGolden(t *testing.T) {
 					t.Fatalf("missing golden file (regenerate with -update): %v", err)
 				}
 				if !bytes.Equal(buf.Bytes(), want) {
-					t.Errorf("%s engine %q sched %q diverges from %s:\n--- got ---\n%s--- want ---\n%s",
-						id, res.Engine, o.Sched, path, buf.Bytes(), want)
+					t.Errorf("%s sched %q diverges from %s:\n--- got ---\n%s--- want ---\n%s",
+						id, o.Sched, path, buf.Bytes(), want)
 				}
 			}
 		})

@@ -40,19 +40,9 @@ func ParseScale(s string) Scale {
 }
 
 // Options selects how experiments execute: the workload scale and the
-// kernel engine. The engine changes wall-clock time only — results are
-// byte-identical across engines (asserted by determinism tests).
+// machine-wide knobs stamped onto every machine an experiment builds.
 type Options struct {
 	Scale Scale
-	// Engine is the kernel execution strategy (default rt.EngineSerial).
-	Engine rt.EngineKind
-	// Workers caps parallel-engine workers (0 = auto).
-	Workers int
-	// Lookahead selects the parallel engine's window derivation
-	// (default rt.LookaheadPair); results are byte-identical across kinds.
-	Lookahead rt.LookaheadKind
-	// NoSteal disables the parallel engine's deterministic work stealing.
-	NoSteal bool
 	// Sched selects the kernel's event scheduler (default rt.SchedWheel).
 	Sched rt.SchedKind
 	// Net, when non-nil, overrides the default interconnect for
@@ -77,19 +67,8 @@ type Options struct {
 	Predict bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.Engine == "" {
-		o.Engine = rt.EngineSerial
-	}
-	return o
-}
-
-// machine stamps the engine selection onto a machine configuration.
+// machine stamps the options onto a machine configuration.
 func (o Options) machine(c rt.Config) rt.Config {
-	c.Engine = o.Engine
-	c.Workers = o.Workers
-	c.Lookahead = o.Lookahead
-	c.NoSteal = o.NoSteal
 	c.Sched = o.Sched
 	c.Profile = o.Profile
 	if o.Aggregate {
@@ -145,9 +124,6 @@ type Result struct {
 	// Notes carries derived findings (speedups, crossovers) recorded in
 	// EXPERIMENTS.md.
 	Notes []string
-	// Engine records the kernel engine the experiment ran under. It is
-	// metadata only: rows and CSV output are engine-independent.
-	Engine rt.EngineKind
 	// Error is the predicted-vs-simulated comparison table produced by the
 	// predict-error experiment; when set it replaces Rows as the CSV
 	// payload (the table is the experiment's artifact).
@@ -193,9 +169,6 @@ func (res *Result) AddNote(format string, args ...any) {
 // version, split into remote-wait / pre-send / compute+synch).
 func (res *Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n\n", res.ID, res.Title)
-	if res.Engine != "" && res.Engine != rt.EngineSerial {
-		fmt.Fprintf(w, "(engine: %s)\n\n", res.Engine)
-	}
 	if res.Error != nil {
 		res.Error.Render(w)
 		for _, n := range res.Notes {
@@ -360,23 +333,12 @@ type Experiment struct {
 	Run   func(o Options) (*Result, error)
 }
 
-// RunExperiment executes the experiment with the given options and stamps
-// the result with the engine it ran under.
-func RunExperiment(e Experiment, o Options) (*Result, error) {
-	o = o.withDefaults()
-	res, err := e.Run(o)
-	if res != nil {
-		res.Engine = o.Engine
-	}
-	return res, err
-}
-
 // RunCSV executes the experiment and returns its rows rendered as CSV
 // bytes alongside the result. This is the serving layer's experiment
 // payload: CSV bytes are deterministic for a fixed configuration, so a
 // run through dsmserve must be byte-identical to an in-process run.
 func RunCSV(e Experiment, o Options) ([]byte, *Result, error) {
-	res, err := RunExperiment(e, o)
+	res, err := e.Run(o)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,7 +12,7 @@ func runExp(t *testing.T, id string) *Result {
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	res, err := RunExperiment(e, Options{Scale: Quick})
+	res, err := e.Run(Options{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}

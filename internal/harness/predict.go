@@ -244,7 +244,6 @@ func runPredictError(o Options) (*Result, error) {
 // figure 5-7 sweeps — the structured half of the CI predict-validate gate
 // (the other half is the chaos seed band, predict.ChaosBandShifts).
 func FigureErrorTable(o Options) (*predict.ErrorTable, error) {
-	o = o.withDefaults()
 	p := newPredictor()
 	table := &predict.ErrorTable{}
 	for _, t := range figureTargets() {
@@ -292,7 +291,6 @@ type SweepBench struct {
 // configs-point sweep over block sizes × network presets × node counts,
 // against the measured cost of one full simulation per configuration.
 func PredictSweepBench(o Options, configs int) (*SweepBench, error) {
-	o = o.withDefaults()
 	p := newPredictor()
 	start := time.Now()
 	cal, err := p.adaptive(o, rt.ProtoStache)

@@ -21,7 +21,7 @@ func TestPredictErrorGolden(t *testing.T) {
 	if !ok {
 		t.Fatal("predict-error not registered")
 	}
-	res, err := RunExperiment(e, Options{Scale: Quick})
+	res, err := e.Run(Options{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestPredictFigureIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("figure5 not registered")
 	}
-	simRes, err := RunExperiment(e, Options{Scale: Quick})
+	simRes, err := e.Run(Options{Scale: Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
-	predRes, err := RunExperiment(e, Options{Scale: Quick, Predict: true})
+	predRes, err := e.Run(Options{Scale: Quick, Predict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

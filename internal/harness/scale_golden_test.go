@@ -12,8 +12,7 @@ import (
 // TestScaleCSVGolden locks the scaling curve against a committed golden
 // file: every (topology, nodes, aggregation) point — elapsed time, total
 // and cross-group message counts, leader aggregates — must reproduce
-// bit-exactly under serial and parallel engines and both schedulers,
-// 1024-node machines included. Regenerate with -update.
+// bit-exactly under both schedulers, 1024-node machines included. Regenerate with -update.
 func TestScaleCSVGolden(t *testing.T) {
 	e, ok := ByID("scale")
 	if !ok {
@@ -23,15 +22,14 @@ func TestScaleCSVGolden(t *testing.T) {
 	for _, o := range []Options{
 		{Scale: Quick, Sched: rt.SchedWheel},
 		{Scale: Quick, Sched: rt.SchedHeap},
-		{Scale: Quick, Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4},
 	} {
-		res, err := RunExperiment(e, o)
+		res, err := e.Run(o)
 		if err != nil {
-			t.Fatalf("scale (%s/%s): %v", o.Engine, o.Sched, err)
+			t.Fatalf("scale (%s): %v", o.Sched, err)
 		}
 		var buf bytes.Buffer
 		res.CSV(&buf)
-		if *updateGolden && o.Engine != rt.EngineParallel && o.Sched == rt.SchedWheel {
+		if *updateGolden && o.Sched == rt.SchedWheel {
 			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -41,8 +39,8 @@ func TestScaleCSVGolden(t *testing.T) {
 			t.Fatalf("missing golden file (regenerate with -update): %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("scale engine %q sched %q diverges from %s:\n--- got ---\n%s--- want ---\n%s",
-				res.Engine, o.Sched, path, buf.Bytes(), want)
+			t.Errorf("scale sched %q diverges from %s:\n--- got ---\n%s--- want ---\n%s",
+				o.Sched, path, buf.Bytes(), want)
 		}
 	}
 }

@@ -39,13 +39,7 @@ func Cases() []Case {
 		{"sleep_advance", benchSleep, true},
 		{"fanout8", benchFanout, false},
 		{"wheel_vs_heap_burst256", benchSchedBurst256, false},
-		{"mesh8_serial", benchMesh(0), false},
-		{"mesh8_parallel4", benchMesh(4), false},
-		{"window_commit8", benchMesh(1), false},
-		{"mesh8_dense_serial", benchDenseMesh(0), false},
-		{"mesh8_dense_parallel4", benchDenseMesh(4), false},
-		{"cluster8x2_dense_serial", benchClusterDense(0), false},
-		{"cluster8x2_dense_parallel4", benchClusterDense(4), false},
+		{"mesh8_serial", benchMesh, false},
 	}, append(protocolCases(), append(predictCases(), scaleCases()...)...)...)
 }
 
@@ -61,11 +55,6 @@ type RatioGuard struct {
 
 // RatioGuards returns the cross-case performance bounds.
 //
-// parallel_engine_overhead pins the conservative parallel engine's
-// per-event overhead: on the mesh workload the 4-worker engine may cost
-// at most 1.1x the serial engine even on a single-CPU host, so
-// window-commit machinery can never silently regress again.
-//
 // recorder_overhead pins the causal flight recorder's cost with the
 // recorder ON (ring push per binding wake plus attribution charging) at
 // 1.25x plain send_recv. Since the enabled recorder is bounded this
@@ -74,30 +63,7 @@ type RatioGuard struct {
 // itself guards that directly.
 func RatioGuards() []RatioGuard {
 	return []RatioGuard{
-		{Name: "parallel_engine_overhead", Num: "mesh8_parallel4", Den: "mesh8_serial", Max: 1.1},
 		{Name: "recorder_overhead", Num: "send_recv_profiled", Den: "send_recv", Max: 1.25},
-	}
-}
-
-// SpeedupGuard demands the parallel case beat the serial one by at least
-// MinSpeedup on the same workload (serial/parallel >= MinSpeedup). These
-// guards only hold on a multi-core host, so paperbench gates them behind
-// the opt-in -kernel-speedup flag (CI's bench-multicore job passes it at
-// GOMAXPROCS=4); single-CPU runs skip them.
-type SpeedupGuard struct {
-	Name       string
-	Parallel   string // parallel case name
-	Serial     string // serial case name
-	MinSpeedup float64
-}
-
-// SpeedupGuards returns the multi-core wall-clock bounds: the dense mesh
-// and cluster workloads — whose windows carry real per-lane computation —
-// must run at least 2x faster under the 4-worker engine.
-func SpeedupGuards() []SpeedupGuard {
-	return []SpeedupGuard{
-		{Name: "mesh_dense_speedup", Parallel: "mesh8_dense_parallel4", Serial: "mesh8_dense_serial", MinSpeedup: 2.0},
-		{Name: "cluster_dense_speedup", Parallel: "cluster8x2_dense_parallel4", Serial: "cluster8x2_dense_serial", MinSpeedup: 2.0},
 	}
 }
 
@@ -280,178 +246,31 @@ func benchSleep(b *testing.B) {
 }
 
 // benchMesh is an 8-proc ring where every proc forwards a message to its
-// right neighbor each round — the parallel engine's best case (all lanes
-// busy every window). workers selects the engine: 0 runs the serial
-// dispatcher, 1 runs the parallel engine's serialized (chained
-// window-commit) path, >1 runs the worker pool; the same workload under
-// every engine makes their per-event overhead directly comparable. Each
-// op is one round (8 sends + 8 receives).
-func benchMesh(workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		const (
-			procs = 8
-			delay = 10 * sim.Microsecond
-		)
-		b.ReportAllocs()
-		k := sim.NewKernel()
-		var msg any = new(struct{})
-		n := b.N
-		ring := make([]*sim.Proc, procs)
-		for i := 0; i < procs; i++ {
-			i := i
-			ring[i] = k.Spawn(fmt.Sprintf("m%d", i), func(p *sim.Proc) {
-				for r := 0; r < n; r++ {
-					p.Send(ring[(i+1)%procs], msg, delay)
-					p.Recv()
-				}
-			})
-		}
-		b.ResetTimer()
-		var err error
-		if workers > 0 {
-			err = k.RunParallel(sim.ParallelConfig{Workers: workers, Lookahead: delay})
-		} else {
-			err = k.Run()
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+// right neighbor each round: eight Procs runnable at once, the dispatch
+// pattern of a machine's nodes exchanging halos. Each op is one round
+// (8 sends + 8 receives).
+func benchMesh(b *testing.B) {
+	const (
+		procs = 8
+		delay = 10 * sim.Microsecond
+	)
+	b.ReportAllocs()
+	k := sim.NewKernel()
+	var msg any = new(struct{})
+	n := b.N
+	ring := make([]*sim.Proc, procs)
+	for i := 0; i < procs; i++ {
+		i := i
+		ring[i] = k.Spawn(fmt.Sprintf("m%d", i), func(p *sim.Proc) {
+			for r := 0; r < n; r++ {
+				p.Send(ring[(i+1)%procs], msg, delay)
+				p.Recv()
+			}
+		})
 	}
-}
-
-// burnSink defeats dead-code elimination of burn's result.
-var burnSink uint64
-
-// burn spins deterministic integer work on the host CPU — a stand-in for
-// the protocol-handler computation a real simulation carries per event.
-// The dense benchmarks use it to give the parallel engine's workers
-// something to actually parallelize; n≈2000 is a couple of microseconds.
-func burn(n int) uint64 {
-	x := uint64(n) | 1
-	for i := 0; i < n; i++ {
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	}
-	return x
-}
-
-// benchDenseMesh is benchMesh with per-round host computation on every
-// proc: all 8 lanes are busy every window and each carries real work, so
-// a multi-core host must show wall-clock speedup under the worker pool
-// (SpeedupGuards; CI's bench-multicore job enforces >= 2x at 4 workers).
-// Each op is one round: 8 burns + 8 sends + 8 receives.
-func benchDenseMesh(workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		const (
-			procs = 8
-			delay = 10 * sim.Microsecond
-			work  = 2000
-		)
-		b.ReportAllocs()
-		k := sim.NewKernel()
-		var msg any = new(struct{})
-		n := b.N
-		ring := make([]*sim.Proc, procs)
-		sinks := make([]uint64, procs) // per-proc: lanes run concurrently
-		for i := 0; i < procs; i++ {
-			i := i
-			ring[i] = k.Spawn(fmt.Sprintf("d%d", i), func(p *sim.Proc) {
-				var acc uint64
-				for r := 0; r < n; r++ {
-					acc += burn(work)
-					p.Advance(2 * sim.Microsecond)
-					p.Send(ring[(i+1)%procs], msg, delay)
-					p.Recv()
-				}
-				sinks[i] = acc
-			})
-		}
-		b.ResetTimer()
-		var err error
-		if workers > 0 {
-			err = k.RunParallel(sim.ParallelConfig{Workers: workers, Lookahead: delay})
-		} else {
-			err = k.Run()
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range sinks {
-			burnSink += s
-		}
-	}
-}
-
-// benchClusterDense models a two-level cluster at the kernel layer: 8
-// lanes of two procs each (front+back, like a node's compute+protocol
-// pair), cheap intra-lane traffic far below the cross-lane bound, and a
-// per-lane-pair lookahead matrix set to the wide inter-group transit.
-// Each window therefore carries several intra-lane events plus host
-// computation per lane — the regime the pair matrix exists for: windows
-// 40x wider than the intra-lane delay would allow under a global scalar
-// bound. Each op is one round over all 8 lanes.
-func benchClusterDense(workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		const (
-			lanes  = 8
-			localD = sim.Microsecond      // intra-lane (same group)
-			farD   = 40 * sim.Microsecond // cross-lane (between groups)
-			work   = 1000
-		)
-		b.ReportAllocs()
-		k := sim.NewKernel()
-		var msg any = new(struct{})
-		n := b.N
-		front := make([]*sim.Proc, lanes)
-		back := make([]*sim.Proc, lanes)
-		sinks := make([]uint64, 2*lanes) // per-proc: lanes run concurrently
-		for i := 0; i < lanes; i++ {
-			i := i
-			back[i] = k.Spawn(fmt.Sprintf("b%d", i), func(p *sim.Proc) {
-				var acc uint64
-				for r := 0; r < n; r++ {
-					d := p.Recv()
-					acc += burn(work)
-					p.Advance(sim.Microsecond)
-					p.Send(d.From, msg, localD)
-				}
-				sinks[i] = acc
-			})
-		}
-		for i := 0; i < lanes; i++ {
-			i := i
-			front[i] = k.Spawn(fmt.Sprintf("f%d", i), func(p *sim.Proc) {
-				var acc uint64
-				for r := 0; r < n; r++ {
-					p.Send(back[i], msg, localD) // intra-lane round trip
-					p.Recv()
-					acc += burn(work)
-					p.Advance(sim.Microsecond)
-					p.Send(front[(i+1)%lanes], msg, farD) // cross-lane hop
-					p.Recv()
-				}
-				sinks[lanes+i] = acc
-			})
-		}
-		b.ResetTimer()
-		var err error
-		if workers > 0 {
-			err = k.RunParallel(sim.ParallelConfig{
-				Workers: workers,
-				Lanes:   lanes,
-				LaneOf:  func(p *sim.Proc) int { return p.ID() % lanes },
-				PairLookahead: func(i, j int) sim.Time {
-					return farD
-				},
-			})
-		} else {
-			err = k.Run()
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range sinks {
-			burnSink += s
-		}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
 	}
 }
 

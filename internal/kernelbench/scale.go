@@ -173,7 +173,7 @@ func benchUpdatePush1024(b *testing.B) {
 }
 
 // benchWheel1024Burst holds a 1024-proc event population on a wheel
-// sized for it (2048 buckets, the rt sizing rule of 2x the lane count):
+// sized for it (2048 buckets, the rt sizing rule of 2x the node count):
 // every proc sleeps on a scattered schedule spanning past the wheel
 // horizon, so pushes exercise the near buckets, the overflow heap and
 // its migration path at kilonode occupancy. One op is one full run of

@@ -33,7 +33,7 @@ func TestClusterPreset(t *testing.T) {
 	}
 }
 
-// TestPairMinLatencyMatrix pins the parallel engine's lookahead matrix:
+// TestPairMinLatencyMatrix pins the per-pair latency floor:
 // intra-group pairs see the (small) intra fabric transit, cross-group
 // pairs the (large) top-level transit, and both are capped by the barrier
 // cost. On flat presets every pair collapses to MinLatency.
@@ -45,19 +45,19 @@ func TestPairMinLatencyMatrix(t *testing.T) {
 	intra := p.PairMinLatency(0, 1) // nodes 0,1 share group 0
 	inter := p.PairMinLatency(1, 2) // groups 0 and 1
 	if want := p.intraTransit(0); intra != want {
-		t.Fatalf("intra pair lookahead = %v, want intra transit %v", intra, want)
+		t.Fatalf("intra pair floor = %v, want intra transit %v", intra, want)
 	}
 	if want := p.TransitDelay(0); inter != want {
-		t.Fatalf("inter pair lookahead = %v, want top-level transit %v", inter, want)
+		t.Fatalf("inter pair floor = %v, want top-level transit %v", inter, want)
 	}
 	if inter <= intra {
-		t.Fatalf("cross-group lookahead %v not wider than intra %v", inter, intra)
+		t.Fatalf("cross-group floor %v not wider than intra %v", inter, intra)
 	}
 	if p.MinLatency() != intra {
 		t.Fatalf("clustered MinLatency = %v, want intra minimum %v", p.MinLatency(), intra)
 	}
 	if pair := p.PairMinLatency(0, 1); pair > p.BarrierLatency {
-		t.Fatalf("pair lookahead %v exceeds barrier %v", pair, p.BarrierLatency)
+		t.Fatalf("pair floor %v exceeds barrier %v", pair, p.BarrierLatency)
 	}
 	for _, flat := range []*Params{CM5(), NOW(), HardwareDSM()} {
 		if flat.Clustered() {
@@ -88,8 +88,7 @@ func TestClusterTransitPair(t *testing.T) {
 
 // TestTransitDelayPairAtClamp: jitter may stretch a transit but can never
 // pull it below the pair's minimal transit — otherwise a jittered message
-// could undercut the per-lane-pair lookahead and break the parallel
-// engine's conservative windows.
+// could arrive sooner than the interconnect allows.
 func TestTransitDelayPairAtClamp(t *testing.T) {
 	base, err := Cluster(2, 2)
 	if err != nil {

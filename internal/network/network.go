@@ -50,9 +50,9 @@ type Params struct {
 	// occupancy and transit delay) by up to ±JitterPct percent. The
 	// perturbation is a pure hash of (JitterSeed, virtual time, nodes,
 	// payload) — a function of simulated state only — so a jittered run
-	// remains byte-identical across kernel engines and repeated runs.
-	// Transit delays are clamped below at MinLatency(), preserving the
-	// parallel engine's conservative-lookahead invariant.
+	// remains byte-identical across repeated runs. Transit delays are
+	// clamped below at the pair's minimal latency, so jitter never lets a
+	// message beat the interconnect's floor.
 	JitterPct int
 	// JitterSeed salts the jitter hash; distinct seeds explore distinct
 	// message orderings.
@@ -94,8 +94,8 @@ type Params struct {
 // Validate rejects configurations that would panic or hang downstream:
 // non-positive latencies/occupancies (the simulator requires every
 // message to advance virtual time), negative per-byte costs, and a
-// degenerate lookahead (MinLatency must be positive for the parallel
-// engine to make progress).
+// degenerate minimum latency (MinLatency must be positive: it sizes the
+// kernel's timing-wheel buckets).
 func (p *Params) Validate() error {
 	pos := []struct {
 		name string
@@ -221,10 +221,8 @@ func HardwareDSM() *Params {
 // hardware-DSM-class intra-node fabric; distinct cluster nodes over the
 // CM-5-class top-level network. Software messaging costs stay CM-5-like
 // regardless of destination (the messaging layer is the same code path) —
-// only the wire differs, which is exactly the asymmetry the parallel
-// engine's per-lane-pair lookahead exploits: cross-group windows stretch
-// to the top-level transit delay instead of collapsing to the intra-node
-// minimum.
+// only the wire differs: a cross-group message pays the top-level
+// transit delay, an intra-group one the far smaller intra-node fabric.
 func Cluster(groups, cores int) (*Params, error) {
 	if groups < 1 || cores < 2 {
 		return nil, fmt.Errorf("network: cluster needs >= 1 groups of >= 2 cores (got %dx%d)", groups, cores)
@@ -344,10 +342,9 @@ func (p *Params) TransitDelayPair(payload, src, dst int) sim.Time {
 // PairMinLatency returns the smallest virtual-time gap between an action
 // on node i and its earliest possible effect on node j: the lesser of the
 // pair's minimal transit delay (empty payload) and the barrier release
-// cost (barriers synchronize all nodes regardless of topology). This is
-// the per-lane-pair lookahead matrix the parallel engine uses to open
-// windows: a lane whose nearest neighbor is across the top-level network
-// gets a window as wide as the top-level transit, not the global minimum.
+// cost (barriers synchronize all nodes regardless of topology). Across
+// groups of a hierarchical machine it is the top-level transit, not the
+// global minimum: the pair's floor in the timing model.
 func (p *Params) PairMinLatency(i, j int) sim.Time {
 	min := p.TransitDelayPair(0, i, j)
 	if p.BarrierLatency < min {
@@ -360,10 +357,8 @@ func (p *Params) PairMinLatency(i, j int) sim.Time {
 // one node and its earliest possible effect on another node, over all
 // pairs: the lesser of the minimal message transit delay (empty payload,
 // header only; the intra-group fabric when clustered) and the barrier
-// release cost. It is the safe global lookahead for conservative parallel
-// simulation (sim.ParallelConfig.Lookahead): within a window narrower
-// than MinLatency, nodes cannot affect each other. PairMinLatency refines
-// this bound per pair.
+// release cost: within a span narrower than MinLatency, nodes cannot
+// affect each other. PairMinLatency refines this bound per pair.
 func (p *Params) MinLatency() sim.Time {
 	min := p.TransitDelay(0)
 	if p.Clustered() {

@@ -46,7 +46,7 @@ func TestBulkCheaperThanManySmall(t *testing.T) {
 	}
 }
 
-// TestMinLatency pins the conservative-parallel lookahead: it must be the
+// TestMinLatency pins the global latency floor: it must be the
 // smaller of the minimal transit delay and the barrier cost, and positive
 // on every platform model.
 func TestMinLatency(t *testing.T) {
@@ -64,7 +64,7 @@ func TestMinLatency(t *testing.T) {
 		}
 	}
 	// On the CM-5 the minimal transit (6us wire + 16 header bytes) is well
-	// below the 40us barrier, so it is the lookahead.
+	// below the 40us barrier, so it is the floor.
 	cm5 := CM5()
 	if got, want := cm5.MinLatency(), cm5.TransitDelay(0); got != want {
 		t.Fatalf("CM5 MinLatency = %v, want TransitDelay(0) = %v", got, want)

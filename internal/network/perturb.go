@@ -9,12 +9,11 @@ import "presto/internal/sim"
 // (invalidations overtaking grants, recalls chasing migrating blocks)
 // while keeping every run reproducible from (Params, JitterSeed).
 //
-// Determinism requirement: the parallel kernel engine executes events
-// concurrently and commits them in serial order, so any randomness
-// consumed at send time must be a pure function of *simulated* state —
-// never of host scheduling. The jitter here hashes (seed, virtual time,
-// src, dst, payload) with a splitmix64-style mixer, which satisfies that
-// requirement: serial and parallel engines see identical costs.
+// Determinism requirement: any randomness consumed at send time must be a
+// pure function of *simulated* state — never of host state — so that a
+// seed reproduces its run exactly. The jitter here hashes (seed, virtual
+// time, src, dst, payload) with a splitmix64-style mixer, which
+// satisfies that requirement.
 
 // mix64 is the splitmix64 finalizer: a fast, well-distributed 64-bit
 // mixing function (Steele et al., "Fast Splittable Pseudorandom Number
@@ -53,7 +52,7 @@ func (p *Params) RecvOverheadAt(now sim.Time, node int) sim.Time {
 
 // TransitDelayAt returns TransitDelay perturbed by seeded jitter, clamped
 // below at MinLatency so a jittered message can never undercut the
-// conservative lookahead the parallel engine derives from these Params.
+// interconnect's minimum latency.
 func (p *Params) TransitDelayAt(payload int, now sim.Time, src, dst int) sim.Time {
 	d := p.jitter(p.TransitDelay(payload), now, src, dst, payload)
 	if min := p.MinLatency(); d < min {
@@ -64,11 +63,10 @@ func (p *Params) TransitDelayAt(payload int, now sim.Time, src, dst int) sim.Tim
 
 // TransitDelayPairAt is TransitDelayAt's topology-aware variant: the
 // jittered pair transit is clamped below at that pair's minimal transit
-// (empty payload), so a jittered message can never undercut the
-// per-lane-pair lookahead (PairMinLatency) the parallel engine derives
-// from these Params. Clamping at the global MinLatency would not be
+// (empty payload), so a jittered message can never undercut the pair's
+// floor (PairMinLatency). Clamping at the global MinLatency would not be
 // enough on a clustered machine: the intra-node minimum is far below the
-// cross-node floor the pair matrix promises. On flat presets the pair
+// cross-node floor. On flat presets the pair
 // floor equals TransitDelay(0) == MinLatency(), so this is byte-identical
 // to TransitDelayAt there.
 func (p *Params) TransitDelayPairAt(payload int, now sim.Time, src, dst int) sim.Time {

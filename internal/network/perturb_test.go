@@ -8,7 +8,7 @@ import (
 
 // TestJitterBounds checks the perturbation layer's two contracts: every
 // jittered cost stays within ±JitterPct of its base, and transit delays
-// never drop below MinLatency (the parallel engine's lookahead).
+// never drop below MinLatency (the interconnect's floor).
 func TestJitterBounds(t *testing.T) {
 	for _, base := range []*Params{CM5(), NOW(), HardwareDSM()} {
 		for _, pct := range []int{1, 5, 25, 50} {
@@ -23,7 +23,7 @@ func TestJitterBounds(t *testing.T) {
 
 				d := p.TransitDelayAt(payload, now, src, dst)
 				if d < p.MinLatency() {
-					t.Fatalf("%d%% jitter: transit %v below lookahead %v", pct, d, p.MinLatency())
+					t.Fatalf("%d%% jitter: transit %v below min latency %v", pct, d, p.MinLatency())
 				}
 				checkWithin(t, pct, base.TransitDelay(payload), d)
 

@@ -11,14 +11,13 @@ import (
 // This file grows the interconnect model beyond the flat presets and the
 // two-level cluster: generalized multi-level cluster hierarchies, 2D
 // meshes, and fat trees, all expressed through the same pair-aware
-// primitives (TransitDelayPair / PairMinLatency) the parallel engine and
+// primitives (TransitDelayPair / PairMinLatency) the message path and
 // the jitter clamp already consume. A topology only changes *transit*
 // costs between specific node pairs; software messaging costs stay
 // uniform, exactly as in the two-level cluster.
 
 // MaxNodes caps every parameterized topology preset. 4096 bounds the
-// pair-lookahead matrix and the per-node metrics registries; the scaling
-// arc targets 1024.
+// per-node tables and metrics registries; the scaling arc targets 1024.
 const MaxNodes = 4096
 
 // FabricLevel is one intermediate level of a hierarchical interconnect:

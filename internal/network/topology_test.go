@@ -104,8 +104,8 @@ func TestMeshTransit(t *testing.T) {
 }
 
 // TestPairClampAt1024 asserts the jittered pair transit never undercuts
-// the pair's minimal transit on every new topology — the invariant the
-// parallel engine's pair lookahead rides on.
+// the pair's minimal transit on every new topology — the pair floor of
+// the timing model.
 func TestPairClampAt1024(t *testing.T) {
 	for _, name := range []string{"cluster:16x64", "cluster:4x16x16", "mesh:32x32", "fattree:5"} {
 		p, err := Preset(name)

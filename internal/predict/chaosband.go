@@ -5,6 +5,7 @@ import (
 
 	"presto/internal/chaos"
 	"presto/internal/rt"
+	"presto/internal/runpool"
 )
 
 // chaosBandShifts are the block-size extrapolations each seed validates
@@ -25,40 +26,66 @@ func ChaosBand(seeds int) (*ErrorTable, error) {
 // The CI predict-validate gate runs the 2x band (shift 1), where the
 // adversarial seeds stay inside the model's gated error budget; the wider
 // extrapolations are reported as an informational table (DESIGN.md §13).
+// Seeds run side by side on a runpool; rows are added in seed order and
+// the first failing seed's error is returned, as in a serial loop.
 func ChaosBandShifts(seeds int, shifts []int) (*ErrorTable, error) {
 	table := &ErrorTable{}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		s := chaos.Derive(seed, chaos.ScaleQuick)
-		s.BlockSize = 32
-		s.JitterPct = 0
-		proto := rt.ProtoStache
-		if seed%2 == 1 {
-			proto = rt.ProtoPredictive
-		}
-		rc := chaos.RunConfig{Protocol: proto, Engine: rt.EngineSerial}
-
-		m, err := chaos.ExecuteCalibration(s, rc)
-		if err != nil {
-			return nil, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		cal, err := Calibrate(m, fmt.Sprintf("chaos-%d", seed))
-		if err != nil {
-			return nil, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		for _, k := range shifts {
-			bs := s.BlockSize << k
-			p, err := cal.Predict(Target{BlockSize: bs})
-			if err != nil {
-				return nil, fmt.Errorf("seed %d bs %d: %w", seed, bs, err)
-			}
-			sim := s
-			sim.BlockSize = bs
-			fp := chaos.ExecuteRun(sim, rc)
-			if fp.Err != "" {
-				return nil, fmt.Errorf("seed %d bs %d: simulation failed: %s", seed, bs, fp.Err)
-			}
-			table.Add("chaos-band", fmt.Sprintf("seed %d %s", seed, proto), bs, p.ElapsedNS, fp.ElapsedNS)
-		}
+	var err error
+	runpool.Ordered(nil, seeds, func(i int) bandSeed {
+		var r bandSeed
+		r.rows, r.err = chaosBandSeed(int64(i), shifts)
+		return r
+	}, func(_ int, r bandSeed) bool {
+		err = r.err
+		table.Rows = append(table.Rows, r.rows...)
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return table, nil
+}
+
+// bandSeed is one seed's validation rows, or the error that stopped it.
+type bandSeed struct {
+	rows []ErrorRow
+	err  error
+}
+
+// chaosBandSeed calibrates one seed at 32 bytes and checks each shifted
+// block size's prediction against its simulation.
+func chaosBandSeed(seed int64, shifts []int) ([]ErrorRow, error) {
+	s := chaos.Derive(seed, chaos.ScaleQuick)
+	s.BlockSize = 32
+	s.JitterPct = 0
+	proto := rt.ProtoStache
+	if seed%2 == 1 {
+		proto = rt.ProtoPredictive
+	}
+	rc := chaos.RunConfig{Protocol: proto}
+
+	m, err := chaos.ExecuteCalibration(s, rc)
+	if err != nil {
+		return nil, fmt.Errorf("seed %d: %w", seed, err)
+	}
+	cal, err := Calibrate(m, fmt.Sprintf("chaos-%d", seed))
+	if err != nil {
+		return nil, fmt.Errorf("seed %d: %w", seed, err)
+	}
+	var t ErrorTable
+	for _, k := range shifts {
+		bs := s.BlockSize << k
+		p, err := cal.Predict(Target{BlockSize: bs})
+		if err != nil {
+			return nil, fmt.Errorf("seed %d bs %d: %w", seed, bs, err)
+		}
+		sim := s
+		sim.BlockSize = bs
+		fp := chaos.ExecuteRun(sim, rc)
+		if fp.Err != "" {
+			return nil, fmt.Errorf("seed %d bs %d: simulation failed: %s", seed, bs, fp.Err)
+		}
+		t.Add("chaos-band", fmt.Sprintf("seed %d %s", seed, proto), bs, p.ElapsedNS, fp.ElapsedNS)
+	}
+	return t.Rows, nil
 }

@@ -356,7 +356,7 @@ func TestReplayOracleChaosBand(t *testing.T) {
 		if seed%2 == 1 {
 			proto = rt.ProtoPredictive
 		}
-		m, err := chaos.ExecuteCalibration(calSpec(seed), chaos.RunConfig{Protocol: proto, Engine: rt.EngineSerial})
+		m, err := chaos.ExecuteCalibration(calSpec(seed), chaos.RunConfig{Protocol: proto})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -25,7 +25,7 @@ func calSpec(seed int64) chaos.Spec {
 func TestIdentityExact(t *testing.T) {
 	for _, proto := range []rt.ProtocolKind{rt.ProtoStache, rt.ProtoPredictive} {
 		s := calSpec(7)
-		rc := chaos.RunConfig{Protocol: proto, Engine: rt.EngineSerial}
+		rc := chaos.RunConfig{Protocol: proto}
 		m, err := chaos.ExecuteCalibration(s, rc)
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +54,7 @@ func TestIdentityExact(t *testing.T) {
 // calibration run's fingerprint is byte-identical to a plain run's.
 func TestRecordingDoesNotPerturb(t *testing.T) {
 	s := calSpec(11)
-	rc := chaos.RunConfig{Protocol: rt.ProtoPredictive, Engine: rt.EngineSerial}
+	rc := chaos.RunConfig{Protocol: rt.ProtoPredictive}
 	plain := chaos.ExecuteRun(s, rc)
 	if plain.Err != "" {
 		t.Fatal(plain.Err)
@@ -83,7 +83,7 @@ func TestBlockSizeExtrapolation(t *testing.T) {
 		if seed%2 == 1 {
 			proto = rt.ProtoPredictive
 		}
-		rc := chaos.RunConfig{Protocol: proto, Engine: rt.EngineSerial}
+		rc := chaos.RunConfig{Protocol: proto}
 		m, err := chaos.ExecuteCalibration(s, rc)
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestBlockSizeExtrapolation(t *testing.T) {
 func TestNetworkExtrapolation(t *testing.T) {
 	s := calSpec(3)
 	s.Net = "cm5"
-	rc := chaos.RunConfig{Protocol: rt.ProtoStache, Engine: rt.EngineSerial}
+	rc := chaos.RunConfig{Protocol: rt.ProtoStache}
 	m, err := chaos.ExecuteCalibration(s, rc)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestCalibrateRequiresInstrumentation(t *testing.T) {
 // phase appears.
 func TestPhasesForecast(t *testing.T) {
 	s := calSpec(5)
-	rc := chaos.RunConfig{Protocol: rt.ProtoStache, Engine: rt.EngineSerial}
+	rc := chaos.RunConfig{Protocol: rt.ProtoStache}
 	m, err := chaos.ExecuteCalibration(s, rc)
 	if err != nil {
 		t.Fatal(err)

@@ -1,18 +1,21 @@
-// Determinism acceptance tests for the parallel engine: running any of
-// the paper applications with Engine=EngineParallel must produce output
-// byte-identical to the serial engine — the same final virtual time, the
-// same metrics report, and the same JSONL protocol trace.
+// Determinism tests for run-level parallelism: machines run side by side
+// on the run pool (internal/runpool) must produce output byte-identical
+// to a run on its own — the same final virtual time, the same metrics
+// report, and the same JSONL protocol trace — whatever they run beside.
 package rt_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"presto/internal/apps/adaptive"
 	"presto/internal/apps/barnes"
 	"presto/internal/apps/water"
+	"presto/internal/network"
 	"presto/internal/rt"
+	"presto/internal/runpool/pooltest"
 	"presto/internal/sim"
 	"presto/internal/trace"
 )
@@ -22,86 +25,119 @@ type artifacts struct {
 	elapsed sim.Time
 	report  []byte
 	trace   []byte
+	err     error
+}
+
+// same reports how b differs from the reference a, or "" if it does not.
+func (a artifacts) same(b artifacts) string {
+	switch {
+	case a.err != nil || b.err != nil:
+		return fmt.Sprintf("run failed: %v / %v", a.err, b.err)
+	case a.elapsed != b.elapsed:
+		return fmt.Sprintf("elapsed %v vs %v", a.elapsed, b.elapsed)
+	case !bytes.Equal(a.report, b.report):
+		return fmt.Sprintf("metrics reports differ:\n%.400s\nvs\n%.400s", a.report, b.report)
+	case !bytes.Equal(a.trace, b.trace):
+		return fmt.Sprintf("JSONL traces differ (%d vs %d bytes)", len(a.trace), len(b.trace))
+	}
+	return ""
+}
+
+// observe collects a finished machine's artifacts.
+func observe(m *rt.Machine, trace []byte) artifacts {
+	rep, err := json.Marshal(m.Report())
+	return artifacts{elapsed: m.Elapsed(), report: rep, trace: trace, err: err}
+}
+
+// runProg executes prog on a fresh machine with cfg. It is safe to call
+// from a pool goroutine: failures come back in the artifacts.
+func runProg(cfg rt.Config, prog func(*rt.Machine, int) rt.Program, iters int) artifacts {
+	m := rt.New(cfg)
+	if err := m.Run(prog(m, iters)); err != nil {
+		return artifacts{err: fmt.Errorf("run (%+v): %v", cfg, err)}
+	}
+	return observe(m, nil)
 }
 
 // runApp executes one small configuration of the named app with a JSONL
 // trace attached and returns its observable output.
-func runApp(t *testing.T, app string, engine rt.EngineKind, workers int) artifacts {
-	t.Helper()
+func runApp(app string) artifacts {
 	var buf bytes.Buffer
 	jsonl := trace.NewJSONL(&buf)
-	mc := rt.Config{
-		Nodes: 8, BlockSize: 32, Protocol: rt.ProtoPredictive,
-		Engine: engine, Workers: workers, Sink: jsonl,
-	}
+	mc := rt.Config{Nodes: 8, BlockSize: 32, Protocol: rt.ProtoPredictive, Sink: jsonl}
 	var m *rt.Machine
 	var err error
 	switch app {
 	case "adaptive":
 		var r *adaptive.Result
-		r, err = adaptive.Run(adaptive.Config{Machine: mc, Size: 32, Iters: 1, RefineEvery: 1})
-		if err == nil {
+		if r, err = adaptive.Run(adaptive.Config{Machine: mc, Size: 32, Iters: 1, RefineEvery: 1}); err == nil {
 			m = r.Machine
 		}
 	case "barnes":
 		var r *barnes.Result
-		r, err = barnes.Run(barnes.Config{Machine: mc, Bodies: 256, Iters: 1})
-		if err == nil {
+		if r, err = barnes.Run(barnes.Config{Machine: mc, Bodies: 256, Iters: 1}); err == nil {
 			m = r.Machine
 		}
 	case "water":
 		var r *water.Result
-		r, err = water.Run(water.Config{Machine: mc, Molecules: 64, Steps: 1})
-		if err == nil {
+		if r, err = water.Run(water.Config{Machine: mc, Molecules: 64, Steps: 1}); err == nil {
 			m = r.Machine
 		}
 	default:
-		t.Fatalf("unknown app %q", app)
+		err = fmt.Errorf("unknown app %q", app)
+	}
+	if err == nil {
+		err = jsonl.Close()
 	}
 	if err != nil {
-		t.Fatalf("%s (%s): %v", app, engine, err)
+		return artifacts{err: fmt.Errorf("%s: %v", app, err)}
 	}
-	if err := jsonl.Close(); err != nil {
-		t.Fatalf("trace close: %v", err)
-	}
-	rep, err := json.Marshal(m.Report())
-	if err != nil {
-		t.Fatalf("report marshal: %v", err)
-	}
-	return artifacts{elapsed: m.Elapsed(), report: rep, trace: buf.Bytes()}
+	return observe(m, buf.Bytes())
 }
 
 // TestParallelEngineDeterminism runs one iteration of each paper
-// application under both engines and requires identical final virtual
-// time, metrics report bytes, and protocol trace bytes.
+// application on its own, then one and four copies side by side, and
+// requires identical final virtual time, metrics report bytes and
+// protocol trace bytes.
 func TestParallelEngineDeterminism(t *testing.T) {
 	for _, app := range []string{"adaptive", "barnes", "water"} {
 		t.Run(app, func(t *testing.T) {
-			serial := runApp(t, app, rt.EngineSerial, 0)
-			for _, workers := range []int{1, 4} {
-				par := runApp(t, app, rt.EngineParallel, workers)
-				if serial.elapsed != par.elapsed {
-					t.Fatalf("workers=%d: elapsed %v (serial) vs %v (parallel)",
-						workers, serial.elapsed, par.elapsed)
-				}
-				if !bytes.Equal(serial.report, par.report) {
-					t.Fatalf("workers=%d: metrics reports differ:\nserial:   %.400s\nparallel: %.400s",
-						workers, serial.report, par.report)
-				}
-				if !bytes.Equal(serial.trace, par.trace) {
-					t.Fatalf("workers=%d: JSONL traces differ (serial %d bytes, parallel %d bytes)",
-						workers, len(serial.trace), len(par.trace))
+			alone := runApp(app)
+			if alone.err != nil {
+				t.Fatal(alone.err)
+			}
+			for _, copies := range []int{1, 4} {
+				for i, got := range pooltest.SideBySide(copies, func(int) artifacts { return runApp(app) }) {
+					if d := alone.same(got); d != "" {
+						t.Fatalf("%d side by side, copy %d: %s", copies, i, d)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestParallelEngineUnknown rejects unrecognized engine names.
-func TestParallelEngineUnknown(t *testing.T) {
-	m := rt.New(rt.Config{Nodes: 2, Engine: rt.EngineKind("warp")})
-	err := m.Run(func(w *rt.Worker) { w.Barrier() })
-	if err == nil {
-		t.Fatal("expected error for unknown engine")
+// TestClusterEngineIdentity: on a clustered interconnect, copies of the
+// neighbor exchange run side by side under both event schedulers must
+// all match the reference run on the default wheel.
+func TestClusterEngineIdentity(t *testing.T) {
+	net, err := network.Preset("cluster:4x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := rt.Config{Nodes: 8, BlockSize: 32, Net: net}
+	ref := runProg(base, neighborProg, 6)
+	if ref.err != nil {
+		t.Fatal(ref.err)
+	}
+	scheds := []rt.SchedKind{rt.SchedWheel, rt.SchedHeap, rt.SchedWheel, rt.SchedHeap}
+	for i, got := range pooltest.SideBySide(len(scheds), func(i int) artifacts {
+		c := base
+		c.Sched = scheds[i]
+		return runProg(c, neighborProg, 6)
+	}) {
+		if d := ref.same(got); d != "" {
+			t.Fatalf("copy %d (%s): %s", i, scheds[i], d)
+		}
 	}
 }

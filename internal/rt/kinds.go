@@ -19,17 +19,6 @@ func ParseProtocol(s string) (ProtocolKind, error) {
 		s, ProtoStache, ProtoPredictive, ProtoUpdate)
 }
 
-// ParseEngine validates a kernel-engine name.
-func ParseEngine(s string) (EngineKind, error) {
-	switch EngineKind(s) {
-	case "":
-		return EngineSerial, nil
-	case EngineSerial, EngineParallel:
-		return EngineKind(s), nil
-	}
-	return "", fmt.Errorf("rt: unknown engine %q (want %q or %q)", s, EngineSerial, EngineParallel)
-}
-
 // ParseSched validates an event-scheduler name.
 func ParseSched(s string) (SchedKind, error) {
 	switch SchedKind(s) {
@@ -39,15 +28,4 @@ func ParseSched(s string) (SchedKind, error) {
 		return SchedKind(s), nil
 	}
 	return "", fmt.Errorf("rt: unknown scheduler %q (want %q or %q)", s, SchedWheel, SchedHeap)
-}
-
-// ParseLookahead validates a parallel-engine lookahead kind.
-func ParseLookahead(s string) (LookaheadKind, error) {
-	switch LookaheadKind(s) {
-	case "":
-		return LookaheadPair, nil
-	case LookaheadPair, LookaheadGlobal:
-		return LookaheadKind(s), nil
-	}
-	return "", fmt.Errorf("rt: unknown lookahead %q (want %q or %q)", s, LookaheadPair, LookaheadGlobal)
 }

@@ -41,46 +41,12 @@ const (
 	ProtoUpdate ProtocolKind = "update"
 )
 
-// EngineKind selects how the simulation kernel executes events.
-type EngineKind string
-
-const (
-	// EngineSerial is the classic single-threaded event loop.
-	EngineSerial EngineKind = "serial"
-	// EngineParallel runs nodes concurrently inside conservative time
-	// windows bounded by the interconnect's minimum latency, committing
-	// results in serial event order — output is byte-identical to
-	// EngineSerial.
-	EngineParallel EngineKind = "parallel"
-)
-
-// LookaheadKind selects how the parallel engine derives its conservative
-// windows from the interconnect.
-type LookaheadKind string
-
-const (
-	// LookaheadPair (default) derives a per-lane-pair lookahead matrix
-	// from the interconnect topology: a lane pair's bound is the minimum
-	// cost of any message between their node groups. On a clustered
-	// interconnect lanes are whole groups and every lane pair crosses
-	// groups, so windows are bounded by the (large) top-level transit
-	// instead of the (small) intra-group minimum. On flat interconnects
-	// every pair collapses to the global minimum latency, making this
-	// byte-identical to LookaheadGlobal.
-	LookaheadPair LookaheadKind = "pair"
-	// LookaheadGlobal is the legacy scalar bound — the interconnect's
-	// global minimum latency — kept as a differential reference for the
-	// pair matrix.
-	LookaheadGlobal LookaheadKind = "global"
-)
-
 // SchedKind selects the kernel's pending-event scheduler.
 type SchedKind string
 
 const (
 	// SchedWheel is the timing-wheel scheduler (default). The bucket width
-	// is the interconnect's minimum cross-node latency, aligning one
-	// conservative lookahead window with O(1) buckets.
+	// is the interconnect's minimum cross-node latency.
 	SchedWheel SchedKind = "wheel"
 	// SchedHeap is the binary-heap reference scheduler, kept for
 	// differential testing — output is byte-identical to SchedWheel.
@@ -121,23 +87,6 @@ type Config struct {
 	// each phase schedule every FlushEvery-th pre-send (deletion-heavy
 	// patterns, paper §3.3).
 	FlushEvery int
-	// Engine selects the kernel execution strategy (default EngineSerial).
-	Engine EngineKind
-	// Workers caps the worker goroutines of the parallel engine. 0 means
-	// auto: GOMAXPROCS clamped to the machine's lane count. Negative
-	// values and values beyond the lane count are configuration errors
-	// (Run reports them). Ignored for EngineSerial.
-	Workers int
-	// Lookahead selects how the parallel engine bounds its conservative
-	// windows (default LookaheadPair). Results are byte-identical across
-	// kinds; the pair matrix only widens windows. Ignored for
-	// EngineSerial.
-	Lookahead LookaheadKind
-	// NoSteal disables deterministic work stealing between the parallel
-	// engine's workers (each worker then executes only the lanes it
-	// owns). Results are byte-identical either way; this is a
-	// performance ablation knob.
-	NoSteal bool
 	// Sched selects the kernel's pending-event scheduler (default
 	// SchedWheel). SchedHeap keeps the reference heap for differential
 	// testing; results are byte-identical either way.
@@ -174,10 +123,6 @@ const (
 	// MutationStacheSkipDeferral disables Stache's cache-side deferral of
 	// invalidations/recalls that overtake the data grant they chase.
 	MutationStacheSkipDeferral = "stache-skip-deferral"
-	// MutationStealReverseRun makes the parallel engine execute each
-	// lane's initial window run tail-first, breaking the execution-order
-	// guarantee work stealing must preserve. Requires EngineParallel.
-	MutationStealReverseRun = "steal-reverse-run"
 	// MutationAggDropEntry makes node-leader aggregation drop one
 	// coalesced bulk entry per multi-part flush. Memory is never
 	// corrupted, but the loss is not silent: on the pre-send path the
@@ -204,9 +149,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Net == nil {
 		out.Net = network.CM5()
-	}
-	if out.Engine == "" {
-		out.Engine = EngineSerial
 	}
 	if out.Sched == "" {
 		out.Sched = SchedWheel
@@ -236,9 +178,6 @@ type Machine struct {
 	ran          bool
 	phaseNames   map[int]string
 	prof         []*nodeProf
-	workers      int
-	lanes        int
-	lookahead    sim.Time // executed window width (parallel engine)
 }
 
 // New builds a machine for the given configuration.
@@ -292,21 +231,12 @@ func (m *Machine) Run(prog Program) error {
 	}
 	switch c.ChaosMutation {
 	case "", MutationStacheSkipDeferral:
-	case MutationStealReverseRun:
-		if c.Engine != EngineParallel {
-			return fmt.Errorf("rt: mutation %q targets the parallel engine, machine runs %q", c.ChaosMutation, c.Engine)
-		}
 	case MutationAggDropEntry:
 		if !c.Aggregate || !c.Net.Clustered() {
 			return fmt.Errorf("rt: mutation %q targets node-leader aggregation (needs Aggregate on a clustered interconnect)", c.ChaosMutation)
 		}
 	default:
 		return fmt.Errorf("rt: unknown chaos mutation %q", c.ChaosMutation)
-	}
-	switch c.Lookahead {
-	case "", LookaheadPair, LookaheadGlobal:
-	default:
-		return fmt.Errorf("rt: unknown lookahead kind %q (want pair or global)", c.Lookahead)
 	}
 	if c.Net.Clustered() && c.Nodes%c.Net.GroupSize != 0 {
 		return fmt.Errorf("rt: %d nodes do not tile into groups of %d", c.Nodes, c.Net.GroupSize)
@@ -324,31 +254,6 @@ func (m *Machine) Run(prog Program) error {
 		m.Kernel.UseScheduler(sim.SchedHeap, 0)
 	default:
 		return fmt.Errorf("rt: unknown scheduler %q", c.Sched)
-	}
-	// Resolve the engine before spawning anything: an error after the
-	// spawn would return with 2N Proc goroutines the kernel never runs.
-	// A lane is the unit of concurrent execution. On a flat interconnect
-	// each node is a lane: a node's compute and protocol processors share
-	// state (Store, Dir, Stats, metrics), so they must execute on the same
-	// lane. On a clustered interconnect the lane is a whole node group —
-	// coarsening to the interconnect partition makes every lane pair
-	// cross-group, so the pair lookahead matrix bounds windows by the
-	// (large) top-level transit instead of the intra-group minimum.
-	gsize := 1
-	switch c.Engine {
-	case EngineSerial:
-	case EngineParallel:
-		if c.Net.Clustered() {
-			gsize = c.Net.GroupSize
-		}
-		m.lanes = c.Nodes / gsize
-		workers, err := effectiveWorkers(c.Workers, m.lanes)
-		if err != nil {
-			return err
-		}
-		m.workers = workers
-	default:
-		return fmt.Errorf("rt: unknown engine %q", c.Engine)
 	}
 	m.Kernel.MaxEvents = c.MaxEvents
 	var ring *trace.Ring
@@ -415,64 +320,7 @@ func (m *Machine) Run(prog Program) error {
 			n.Prof = np.slot
 		}
 	}
-	if c.Engine == EngineSerial {
-		return m.Kernel.Run()
-	}
-	// Spawn order is protos 0..N-1 then computes N..2N-1, so ID mod
-	// Nodes maps both of node i's procs to node i, and dividing by
-	// the group size folds a group's nodes onto one lane.
-	pcfg := sim.ParallelConfig{
-		Workers:           m.workers,
-		Lanes:             m.lanes,
-		LaneOf:            func(p *sim.Proc) int { return (p.ID() % c.Nodes) / gsize },
-		NoSteal:           c.NoSteal,
-		MutateReverseRuns: c.ChaosMutation == MutationStealReverseRun,
-	}
-	switch {
-	case m.lanes == 1:
-		// One lane has no cross-lane hazards; any positive window is
-		// conservative. The barrier cost is a comfortably wide one.
-		pcfg.Lookahead = c.Net.BarrierLatency
-	case c.Lookahead == LookaheadGlobal:
-		pcfg.Lookahead = c.Net.MinLatency()
-	default:
-		pcfg.PairLookahead = func(i, j int) sim.Time {
-			return c.Net.PairMinLatency(i*gsize, j*gsize)
-		}
-		// The executed width is the matrix's narrowest row. Every
-		// lane pair of a clustered machine crosses groups (uniform
-		// cost); on a flat one the matrix collapses to the global
-		// minimum.
-		if c.Net.Clustered() {
-			m.lookahead = c.Net.PairMinLatency(0, gsize)
-		} else {
-			m.lookahead = c.Net.MinLatency()
-		}
-	}
-	if pcfg.Lookahead > 0 {
-		m.lookahead = pcfg.Lookahead
-	}
-	return m.Kernel.RunParallel(pcfg)
-}
-
-// effectiveWorkers resolves the requested parallel-engine worker count
-// against the machine's lane count. 0 means auto (GOMAXPROCS clamped to
-// the lane count); negative requests and requests beyond the lane count
-// are configuration errors — workers execute lanes, so the surplus could
-// never run.
-func effectiveWorkers(req, lanes int) (int, error) {
-	switch {
-	case req < 0:
-		return 0, fmt.Errorf("rt: negative worker count %d (0 means auto)", req)
-	case req > lanes:
-		return 0, fmt.Errorf("rt: %d workers exceed the machine's %d lanes (workers execute lanes; use 0 for auto)", req, lanes)
-	case req == 0:
-		req = runtime.GOMAXPROCS(0)
-		if req > lanes {
-			req = lanes
-		}
-	}
-	return req, nil
+	return m.Kernel.Run()
 }
 
 // Elapsed returns the machine's execution time: the latest compute
@@ -681,45 +529,24 @@ type MetricsReport struct {
 	Phases    []PhaseStat       `json:"phases"`
 	Kernel    sim.KernelStats   `json:"kernel"`
 	Registry  *metrics.Snapshot `json:"registry"`
-	// Exec carries host- and engine-dependent execution facts. It is NOT
-	// filled by Report — the deterministic body above must stay
-	// byte-identical across engines and hosts — callers that want it
-	// (dsmrun -metrics) attach Machine.ExecInfo() explicitly.
+	// Exec carries host-dependent execution facts. It is NOT filled by
+	// Report — the deterministic body above must stay byte-identical
+	// across hosts — callers that want it (dsmrun -metrics) attach
+	// Machine.ExecInfo() explicitly.
 	Exec *ExecInfo `json:"exec,omitempty"`
 }
 
-// ExecInfo describes how the engine actually executed a run: effective
-// worker and lane counts plus host shape. These facts vary across hosts
-// and engine configurations while the simulated results do not, so they
-// are kept out of Report's deterministic body.
+// ExecInfo describes the host a run executed on. These facts vary
+// across hosts while the simulated results do not, so they are kept out
+// of Report's deterministic body.
 type ExecInfo struct {
-	Engine     string `json:"engine"`
-	Workers    int    `json:"workers,omitempty"`
-	Lanes      int    `json:"lanes,omitempty"`
-	Lookahead  string `json:"lookahead,omitempty"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	NumCPU     int `json:"num_cpu"`
 }
 
-// ExecInfo reports the engine execution facts for the completed run.
+// ExecInfo reports the host execution facts for the completed run.
 func (m *Machine) ExecInfo() *ExecInfo {
-	e := &ExecInfo{
-		Engine:     string(m.Cfg.Engine),
-		Workers:    m.workers,
-		Lanes:      m.lanes,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	if e.Engine == "" {
-		e.Engine = string(EngineSerial)
-	}
-	if m.Cfg.Engine == EngineParallel {
-		e.Lookahead = string(m.Cfg.Lookahead)
-		if e.Lookahead == "" {
-			e.Lookahead = string(LookaheadPair)
-		}
-	}
-	return e
+	return &ExecInfo{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 }
 
 // Report assembles the metrics export. Call after Run.

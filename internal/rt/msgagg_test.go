@@ -1,6 +1,6 @@
 // Node-leader message aggregation tests: memory invariance, coalesced-
-// entry conservation, cross-group traffic reduction, engine identity,
-// and the agg-drop-entry mutation contract.
+// entry conservation, cross-group traffic reduction, and the
+// agg-drop-entry mutation contract.
 package rt_test
 
 import (
@@ -13,6 +13,7 @@ import (
 	"presto/internal/memory"
 	"presto/internal/network"
 	"presto/internal/rt"
+	"presto/internal/runpool/pooltest"
 	"presto/internal/sim"
 )
 
@@ -146,9 +147,10 @@ func TestAggregationGatherStache(t *testing.T) {
 	}
 }
 
-// TestAggregationEngineIdentity: with aggregation on, the parallel
-// engine must stay byte-identical to the serial reference — the flush
-// triggers are all functions of virtual state.
+// TestAggregationEngineIdentity: with aggregation on, one and four
+// copies run side by side (alternating the event scheduler) must stay
+// byte-identical to the reference run — the flush triggers are all
+// functions of virtual state, none of host timing.
 func TestAggregationEngineIdentity(t *testing.T) {
 	net, err := network.Preset("cluster:4x8")
 	if err != nil {
@@ -156,22 +158,21 @@ func TestAggregationEngineIdentity(t *testing.T) {
 	}
 	base := rt.Config{Nodes: 32, BlockSize: 32, Net: net,
 		Protocol: rt.ProtoPredictive, Aggregate: true}
-	serial := runAgg(t, base, broadcastProg, 3)
-	sref, err := json.Marshal(serial.Report())
-	if err != nil {
-		t.Fatal(err)
+	ref := runProg(base, broadcastProg, 3)
+	if ref.err != nil {
+		t.Fatal(ref.err)
 	}
-	for _, workers := range []int{1, 4} {
-		c := base
-		c.Engine = rt.EngineParallel
-		c.Workers = workers
-		par := runAgg(t, c, broadcastProg, 3)
-		pref, err := json.Marshal(par.Report())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sref, pref) {
-			t.Fatalf("workers=%d: parallel report diverges from serial", workers)
+	for _, copies := range []int{1, 4} {
+		for i, got := range pooltest.SideBySide(copies, func(i int) artifacts {
+			c := base
+			if i%2 == 1 {
+				c.Sched = rt.SchedHeap
+			}
+			return runProg(c, broadcastProg, 3)
+		}) {
+			if d := ref.same(got); d != "" {
+				t.Fatalf("%d side by side, copy %d: %s", copies, i, d)
+			}
 		}
 	}
 }

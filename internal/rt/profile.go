@@ -12,7 +12,7 @@ import (
 // nodeProf holds one node's attribution slots: the compute processor's
 // time split per parallel phase (outside = between phases), plus the
 // protocol processor's own timeline. Slots are written by the node's
-// processors, which share a lane under the parallel engine, so no
+// processors, which the kernel runs one at a time, so no
 // synchronization is needed.
 type nodeProf struct {
 	outside sim.AttrSlot
@@ -40,9 +40,8 @@ func (np *nodeProf) slot(id int) *sim.AttrSlot {
 
 // Profile assembles the causal profile after a run with Cfg.Profile on:
 // per-node exact time attribution (per phase), the critical path walked
-// backward from the last-finishing compute processor, and — under the
-// parallel engine — the engine's flight data. The app name is recorded
-// in the artifact.
+// backward from the last-finishing compute processor. The app name is
+// recorded in the artifact.
 func (m *Machine) Profile(app string) (*causal.Profile, error) {
 	if !m.ran {
 		return nil, fmt.Errorf("rt: Profile before Run")
@@ -56,7 +55,6 @@ func (m *Machine) Profile(app string) (*causal.Profile, error) {
 		Protocol:  string(m.Cfg.Protocol),
 		Nodes:     m.Cfg.Nodes,
 		BlockSize: m.Cfg.BlockSize,
-		Engine:    string(m.Cfg.Engine),
 		ElapsedNS: int64(m.Elapsed()),
 	}
 	for i, np := range m.prof {
@@ -98,32 +96,6 @@ func (m *Machine) Profile(app string) (*causal.Profile, error) {
 		return nil, err
 	}
 	p.Path = causal.PathProfileOf(path, 40)
-	if f := m.Kernel.EngineFlightRecord(); f != nil {
-		hist := f.EventHist[:]
-		for len(hist) > 0 && hist[len(hist)-1] == 0 {
-			hist = hist[:len(hist)-1]
-		}
-		kind := string(m.Cfg.Lookahead)
-		if kind == "" {
-			kind = string(LookaheadPair)
-		}
-		p.Flight = &causal.EngineProfile{
-			Workers:       m.workers,
-			Lanes:         m.lanes,
-			Lookahead:     kind,
-			LookaheadNS:   int64(m.lookahead),
-			Windows:       f.Windows,
-			Events:        f.Events,
-			SoloWindows:   f.SoloWindows,
-			MergedWindows: f.MergedWindows,
-			Steals:        f.Steals,
-			LaneHist:      append([]int64(nil), f.LaneHist...),
-			EventHist:     append([]int64(nil), hist...),
-			OpenWallNS:    f.OpenNS,
-			ExecWallNS:    f.ExecNS,
-			CommitWallNS:  f.CommitNS,
-		}
-	}
 	return p, nil
 }
 

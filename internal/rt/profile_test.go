@@ -3,10 +3,12 @@ package rt
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"presto/internal/causal"
+	"presto/internal/runpool/pooltest"
 )
 
 // profProgram is a small cross-node workload exercising phases, faults,
@@ -28,39 +30,101 @@ func profProgram(arr *Array1D, arrLen int) Program {
 
 func buildProf(t *testing.T, cfg Config) *Machine {
 	t.Helper()
-	m := New(cfg)
-	arr := m.NewArray1D("a", 16, 1, true)
-	m.NamePhase(1, "sweep")
-	if err := m.Run(profProgram(arr, 16)); err != nil {
+	m, err := runProf(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-// TestProfileInvariant runs the workload under every protocol on both
-// engines and checks the load-bearing invariants: per-node buckets sum
-// exactly to the node's simulated time, and (serial) the critical-path
-// length equals the end-to-end elapsed time.
+// runProf is buildProf for a pool goroutine: it returns the error.
+func runProf(cfg Config) (*Machine, error) {
+	m := New(cfg)
+	arr := m.NewArray1D("a", 16, 1, true)
+	m.NamePhase(1, "sweep")
+	return m, m.Run(profProgram(arr, 16))
+}
+
+// pooledProf runs one profiled machine per config side by side on the
+// run pool and returns each one's validated profile as JSON.
+func pooledProf(t *testing.T, cfgs []Config) [][]byte {
+	t.Helper()
+	type out struct {
+		js  []byte
+		err error
+	}
+	outs := pooltest.SideBySide(len(cfgs), func(i int) out {
+		m, err := runProf(cfgs[i])
+		if err != nil {
+			return out{err: err}
+		}
+		p, err := m.Profile("test")
+		if err == nil {
+			err = p.Validate()
+		}
+		if err == nil && p.Path.LengthNS != int64(m.Elapsed()) {
+			err = fmt.Errorf("critical path %d != elapsed %d", p.Path.LengthNS, int64(m.Elapsed()))
+		}
+		if err != nil {
+			return out{err: err}
+		}
+		js, err := json.Marshal(p)
+		return out{js, err}
+	})
+	var js [][]byte
+	for i, o := range outs {
+		if o.err != nil {
+			t.Fatalf("config %d (%s): %v", i, cfgs[i].Protocol, o.err)
+		}
+		js = append(js, o.js)
+	}
+	return js
+}
+
+// profJSON profiles cfg on its own and returns the profile as JSON.
+func profJSON(t *testing.T, cfg Config) []byte {
+	t.Helper()
+	p, err := buildProf(t, cfg).Profile("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
+
+// TestProfileInvariant runs the workload under every protocol, on its own
+// (serial) and as two copies side by side on the run pool (parallel), and
+// checks the load-bearing invariants: per-node buckets sum exactly to the
+// node's simulated time, and the critical-path length equals the
+// end-to-end elapsed time. Pooled copies must also profile byte-identically
+// to the run on its own.
 func TestProfileInvariant(t *testing.T) {
 	for _, proto := range []ProtocolKind{ProtoStache, ProtoPredictive, ProtoUpdate} {
-		for _, eng := range []EngineKind{EngineSerial, EngineParallel} {
-			t.Run(string(proto)+"/"+string(eng), func(t *testing.T) {
-				m := buildProf(t, Config{Nodes: 4, BlockSize: 32, Protocol: proto, Engine: eng, Profile: true})
-				p, err := m.Profile("test")
-				if err != nil {
-					t.Fatal(err)
+		cfg := Config{Nodes: 4, BlockSize: 32, Protocol: proto, Profile: true}
+		t.Run(string(proto)+"/serial", func(t *testing.T) {
+			m := buildProf(t, cfg)
+			p, err := m.Profile("test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if p.Path.LengthNS != int64(m.Elapsed()) {
+				t.Fatalf("critical path %d != elapsed %d", p.Path.LengthNS, int64(m.Elapsed()))
+			}
+		})
+		t.Run(string(proto)+"/parallel", func(t *testing.T) {
+			alone := profJSON(t, cfg)
+			for i, js := range pooledProf(t, []Config{cfg, cfg}) {
+				if !bytes.Equal(js, alone) {
+					t.Fatalf("copy %d: profile differs when run side by side", i)
 				}
-				if err := p.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				if eng == EngineSerial && p.Path.LengthNS != int64(m.Elapsed()) {
-					t.Fatalf("critical path %d != elapsed %d", p.Path.LengthNS, int64(m.Elapsed()))
-				}
-				if eng == EngineParallel && p.Flight == nil {
-					t.Fatal("parallel run produced no engine flight record")
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -83,27 +147,20 @@ func TestProfileDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestProfileSerialParallelAgree checks the attribution itself is
-// engine-independent: the same workload profiled under both engines
-// yields identical per-node buckets and critical paths (the engine
-// flight record is the only parallel-specific addition).
+// TestProfileSerialParallelAgree checks the attribution is independent of
+// what else runs on the host: the three protocols profiled side by side
+// on the run pool yield the same per-node buckets and critical paths —
+// the whole profile, byte for byte — as each profiled on its own.
 func TestProfileSerialParallelAgree(t *testing.T) {
-	ser := buildProf(t, Config{Nodes: 4, BlockSize: 32, Protocol: ProtoStache, Profile: true})
-	par := buildProf(t, Config{Nodes: 4, BlockSize: 32, Protocol: ProtoStache, Engine: EngineParallel, Profile: true})
-	ps, err := ser.Profile("test")
-	if err != nil {
-		t.Fatal(err)
+	var cfgs []Config
+	for _, proto := range []ProtocolKind{ProtoStache, ProtoPredictive, ProtoUpdate} {
+		cfgs = append(cfgs, Config{Nodes: 4, BlockSize: 32, Protocol: proto, Profile: true})
 	}
-	pp, err := par.Profile("test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ps.PerNode, pp.PerNode) {
-		t.Errorf("per-node attribution differs across engines:\nserial   %+v\nparallel %+v", ps.PerNode, pp.PerNode)
-	}
-	pp.Path.Truncated = ps.Path.Truncated // identical by construction; explicit for clarity
-	if !reflect.DeepEqual(ps.Path, pp.Path) {
-		t.Errorf("critical path differs across engines")
+	for i, js := range pooledProf(t, cfgs) {
+		if alone := profJSON(t, cfgs[i]); !bytes.Equal(js, alone) {
+			t.Errorf("%s: attribution differs when run side by side:\nalone:  %.300s\npooled: %.300s",
+				cfgs[i].Protocol, alone, js)
+		}
 	}
 }
 
@@ -111,7 +168,7 @@ func TestProfileSerialParallelAgree(t *testing.T) {
 // the profile.json schema must survive a round trip with nothing lost
 // (the contract internal/predict will rely on).
 func TestProfileJSONRoundTrip(t *testing.T) {
-	m := buildProf(t, Config{Nodes: 4, BlockSize: 32, Protocol: ProtoPredictive, Engine: EngineParallel, Profile: true})
+	m := buildProf(t, Config{Nodes: 4, BlockSize: 32, Protocol: ProtoPredictive, Profile: true})
 	p, err := m.Profile("test")
 	if err != nil {
 		t.Fatal(err)

@@ -22,14 +22,19 @@ func settledGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestRunConfigErrorSpawnsNothing checks that a machine whose engine
+// TestRunConfigErrorSpawnsNothing checks that a machine whose
 // configuration is rejected returns before spawning its 2N Procs, so the
 // error path leaves no goroutine behind.
 func TestRunConfigErrorSpawnsNothing(t *testing.T) {
+	cluster, err := network.Preset("cluster:4x2")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cfg := range []rt.Config{
-		{Nodes: 8, Engine: rt.EngineParallel, Workers: 9},
-		{Nodes: 8, Engine: rt.EngineParallel, Workers: -1},
-		{Nodes: 8, Engine: "warp"},
+		{Nodes: 8, Sched: "warp"},
+		{Nodes: 8, ChaosMutation: "steal-reverse-run"},
+		{Nodes: 8, ChaosMutation: rt.MutationAggDropEntry},
+		{Nodes: 6, Net: cluster},
 	} {
 		before := runtime.NumGoroutine()
 		m := rt.New(cfg)

@@ -1,5 +1,5 @@
 // 1024-node scale tests: the tentpole guarantee that a kilonode machine
-// completes under every engine, scheduler and storage backend with
+// completes under every scheduler and storage backend with
 // byte-identical results, on each hierarchical topology family.
 package rt_test
 
@@ -53,8 +53,8 @@ func run1024(t *testing.T, cfg rt.Config, prog func(*rt.Machine, int) rt.Program
 	t.Helper()
 	m := rt.New(cfg)
 	if err := m.Run(prog(m, iters)); err != nil {
-		t.Fatalf("run (engine=%s sched=%s storage=%s net=%v): %v",
-			cfg.Engine, cfg.Sched, cfg.Storage, cfg.Net.ExpectNodes(), err)
+		t.Fatalf("run (sched=%s storage=%s net=%v): %v",
+			cfg.Sched, cfg.Storage, cfg.Net.ExpectNodes(), err)
 	}
 	rep, err := json.Marshal(m.Report())
 	if err != nil {
@@ -63,10 +63,10 @@ func run1024(t *testing.T, cfg rt.Config, prog func(*rt.Machine, int) rt.Program
 	return m, rep
 }
 
-// TestScale1024Combos runs the full {engine} x {scheduler} x {storage}
-// matrix on an aggregated 1024-node two-level cluster. All eight
-// fingerprints must be byte-identical: engines, schedulers and storage
-// backends are performance knobs, never semantic ones.
+// TestScale1024Combos runs the full {scheduler} x {storage} matrix on an
+// aggregated 1024-node two-level cluster. All four fingerprints must be
+// byte-identical: schedulers and storage backends are performance knobs,
+// never semantic ones.
 func TestScale1024Combos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node matrix skipped in -short")
@@ -79,31 +79,28 @@ func TestScale1024Combos(t *testing.T) {
 		Protocol: rt.ProtoPredictive, Aggregate: true}
 	var ref []byte
 	var refName string
-	for _, engine := range []rt.EngineKind{rt.EngineSerial, rt.EngineParallel} {
-		for _, sched := range []rt.SchedKind{rt.SchedWheel, rt.SchedHeap} {
-			for _, storage := range []blockstate.Kind{blockstate.Dense, blockstate.MapRef} {
-				name := fmt.Sprintf("%s/%s/%s", engine, sched, storage)
-				c := base
-				c.Engine = engine
-				c.Sched = sched
-				c.Storage = storage
-				m, rep := run1024(t, c, groupExchangeProg, 3)
-				if ref == nil {
-					ref, refName = rep, name
-					cs := m.Counters()
-					if cs.AggMsgs == 0 {
-						t.Fatal("aggregated 1024-node run sent no aggregates")
-					}
-					if cs.AggEntriesOut != cs.AggEntriesIn {
-						t.Fatalf("conservation broken at 1024 nodes: %d out, %d in",
-							cs.AggEntriesOut, cs.AggEntriesIn)
-					}
-					if vs := check.Accounting(m); len(vs) != 0 {
-						t.Fatalf("accounting violations: %v", vs)
-					}
-				} else if !bytes.Equal(ref, rep) {
-					t.Fatalf("%s fingerprint diverges from %s", name, refName)
+	for _, sched := range []rt.SchedKind{rt.SchedWheel, rt.SchedHeap} {
+		for _, storage := range []blockstate.Kind{blockstate.Dense, blockstate.MapRef} {
+			name := fmt.Sprintf("%s/%s", sched, storage)
+			c := base
+			c.Sched = sched
+			c.Storage = storage
+			m, rep := run1024(t, c, groupExchangeProg, 3)
+			if ref == nil {
+				ref, refName = rep, name
+				cs := m.Counters()
+				if cs.AggMsgs == 0 {
+					t.Fatal("aggregated 1024-node run sent no aggregates")
 				}
+				if cs.AggEntriesOut != cs.AggEntriesIn {
+					t.Fatalf("conservation broken at 1024 nodes: %d out, %d in",
+						cs.AggEntriesOut, cs.AggEntriesIn)
+				}
+				if vs := check.Accounting(m); len(vs) != 0 {
+					t.Fatalf("accounting violations: %v", vs)
+				}
+			} else if !bytes.Equal(ref, rep) {
+				t.Fatalf("%s fingerprint diverges from %s", name, refName)
 			}
 		}
 	}
@@ -111,7 +108,7 @@ func TestScale1024Combos(t *testing.T) {
 
 // TestScale1024Topologies completes a 1024-node run on each hierarchical
 // topology family — mesh:32x32 (flat, distance-dependent transit) and
-// fattree:5 (4-ary, 256 leaf groups) — under both engines, byte-identical.
+// fattree:5 (4-ary, 256 leaf groups) — byte-identical across reruns.
 func TestScale1024Topologies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node topology sweep skipped in -short")
@@ -129,12 +126,10 @@ func TestScale1024Topologies(t *testing.T) {
 		}
 		base := rt.Config{Nodes: 1024, BlockSize: 32, Net: net,
 			Protocol: rt.ProtoPredictive, Aggregate: spec.agg}
-		_, serial := run1024(t, base, neighborProg, 2)
-		c := base
-		c.Engine = rt.EngineParallel
-		m, par := run1024(t, c, neighborProg, 2)
-		if !bytes.Equal(serial, par) {
-			t.Fatalf("%s: parallel fingerprint diverges from serial", spec.net)
+		_, first := run1024(t, base, neighborProg, 2)
+		m, again := run1024(t, base, neighborProg, 2)
+		if !bytes.Equal(first, again) {
+			t.Fatalf("%s: rerun fingerprint diverges", spec.net)
 		}
 		if vs := check.Machine(m); len(vs) != 0 {
 			t.Fatalf("%s: coherence violations: %v", spec.net, vs)

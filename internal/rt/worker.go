@@ -117,24 +117,22 @@ func (w *Worker) Phase(id int, body func()) {
 func (w *Worker) beginPhase(id, iter int) {
 	w.Node.BeginPhaseMetrics(id, iter)
 	if w.Node.Trace != nil {
-		ev := trace.Event{
+		w.Node.Trace.Record(trace.Event{
 			At: w.P.Now(), Node: w.ID, Proc: trace.ProcCompute,
 			Kind: trace.PhaseBegin, Phase: id, Iter: iter,
 			What: w.M.PhaseName(id),
-		}
-		w.P.OnCommit(func() { w.Node.Trace.Record(ev) })
+		})
 	}
 }
 
 // endPhase closes the trace span and leaves the metrics context.
 func (w *Worker) endPhase(id, iter int) {
 	if w.Node.Trace != nil {
-		ev := trace.Event{
+		w.Node.Trace.Record(trace.Event{
 			At: w.P.Now(), Node: w.ID, Proc: trace.ProcCompute,
 			Kind: trace.PhaseEnd, Phase: id, Iter: iter,
 			What: w.M.PhaseName(id),
-		}
-		w.P.OnCommit(func() { w.Node.Trace.Record(ev) })
+		})
 	}
 	w.Node.EndPhaseMetrics()
 }

@@ -27,7 +27,7 @@ type Result struct {
 	// or the summed row totals of an experiment.
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
 	// MemHash is rt.Machine.HashMemory of the chaos reference run
-	// (stache/serial), in %016x — the fingerprint clients verify.
+	// (stache), in %016x — the fingerprint clients verify.
 	MemHash string `json:"mem_hash,omitempty"`
 	// Chaos carries a chaos job's payload.
 	Chaos *ChaosResult `json:"chaos,omitempty"`

@@ -32,10 +32,9 @@ func Run(ctx context.Context, spec Spec) *Result {
 	return &Result{Err: fmt.Sprintf("serve: unknown spec kind %q", spec.Kind)}
 }
 
-// refCombo is the differential matrix cell whose fingerprint stamps the
-// result's ElapsedNS/MemHash: the unoptimized protocol on the reference
-// engine.
-var refCombo = string(rt.ProtoStache) + "/" + string(rt.EngineSerial)
+// refRun is the differential matrix run whose fingerprint stamps the
+// result's ElapsedNS/MemHash: the unoptimized protocol.
+const refRun = string(rt.ProtoStache)
 
 // runChaosDiff runs the full differential oracle on one seed — the
 // protofuzz server path. Oracle violations are payload (the client
@@ -52,15 +51,15 @@ func runChaosDiff(spec Spec) *Result {
 	}
 	r := chaos.RunSeed(spec.Seed, o)
 	res := &Result{Chaos: &ChaosResult{Diff: &r}}
-	if fp, ok := r.Runs[refCombo]; ok && fp.Err == "" {
+	if fp, ok := r.Runs[refRun]; ok && fp.Err == "" {
 		res.ElapsedNS = fp.ElapsedNS
 		res.MemHash = fmt.Sprintf("%016x", fp.MemHash)
 	}
 	return res
 }
 
-// runChaosSingle executes one configured {protocol, engine, sched,
-// storage} combination of a derived chaos workload, with the spec's
+// runChaosSingle executes one configured {protocol, sched, storage}
+// combination of a derived chaos workload, with the spec's
 // block-size and interconnect overrides applied to the derivation.
 func runChaosSingle(spec Spec) *Result {
 	cs := chaos.DeriveCapped(spec.Seed, chaos.Scale(spec.Scale), spec.Caps())
@@ -80,12 +79,8 @@ func runChaosSingle(spec Spec) *Result {
 	}
 	fp := chaos.ExecuteRun(cs, chaos.RunConfig{
 		Protocol:  rt.ProtocolKind(spec.Protocol),
-		Engine:    rt.EngineKind(spec.Engine),
 		Sched:     rt.SchedKind(spec.Sched),
 		Storage:   blockstate.Kind(spec.Storage),
-		Lookahead: rt.LookaheadKind(spec.Lookahead),
-		NoSteal:   spec.NoSteal,
-		Workers:   spec.Workers,
 		MaxEvents: spec.MaxEvents,
 	})
 	res := &Result{Chaos: &ChaosResult{Fingerprint: &fp}}
@@ -105,14 +100,10 @@ func runExperiment(spec Spec) *Result {
 		return &Result{Err: fmt.Sprintf("serve: unknown experiment %q", spec.Experiment)}
 	}
 	o := harness.Options{
-		Scale:     harness.ParseScale(spec.Scale),
-		Engine:    rt.EngineKind(spec.Engine),
-		Workers:   spec.Workers,
-		Lookahead: rt.LookaheadKind(spec.Lookahead),
-		NoSteal:   spec.NoSteal,
-		Sched:     rt.SchedKind(spec.Sched),
-		Profile:   spec.Profile,
-		Predict:   spec.Predict,
+		Scale:   harness.ParseScale(spec.Scale),
+		Sched:   rt.SchedKind(spec.Sched),
+		Profile: spec.Profile,
+		Predict: spec.Predict,
 	}
 	if spec.Net != "" {
 		p, err := network.Preset(spec.Net)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -176,6 +178,26 @@ func TestBatchRejectsInvalidSpecs(t *testing.T) {
 	err = cl.Batch(context.Background(), BatchRequest{}, func(*Result) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "empty batch") {
 		t.Fatalf("empty batch: %v", err)
+	}
+}
+
+// TestBatchRejectsRetiredEngineFields: the intra-run parallel engine's
+// spec fields are gone, and strict decoding refuses a batch that still
+// sets one instead of silently running it serially.
+func TestBatchRejectsRetiredEngineFields(t *testing.T) {
+	_, cl := newTestServer(t, Config{Workers: 1})
+	for _, field := range []string{`"engine":"parallel"`, `"workers":4`, `"lookahead":"pair"`, `"no_steal":true`} {
+		body := `{"specs":[{"kind":"experiment","experiment":"figure5",` + field + `}]}`
+		resp, err := http.Post(cl.Base+"/v1/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		name := field[1 : strings.Index(field[1:], `"`)+1]
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field "`+name+`"`) {
+			t.Errorf("%s: status %d, body %q; want 400 naming the field", field, resp.StatusCode, msg)
+		}
 	}
 }
 

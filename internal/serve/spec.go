@@ -26,10 +26,9 @@ import (
 // Job kinds.
 const (
 	// KindChaos runs a seed-derived chaos workload. With Protocol unset
-	// the full differential oracle runs (every {protocol} × {engine}
-	// combination, cross-checked — the protofuzz server path); with
-	// Protocol set, exactly one configured combination runs and the
-	// result is its fingerprint.
+	// the full differential oracle runs (every protocol, cross-checked —
+	// the protofuzz server path); with Protocol set, exactly one
+	// configured run executes and the result is its fingerprint.
 	KindChaos = "chaos"
 	// KindExperiment runs a registered harness experiment (figure5,
 	// sweep, ...) and returns its CSV rows and notes.
@@ -44,11 +43,10 @@ const (
 // Field applicability by kind:
 //
 //   - chaos: Seed, Scale (quick|long), JitterPct, MaxEvents, Max*, and —
-//     only when Protocol is set — Engine/Sched/Storage/Lookahead/
-//     NoSteal/Workers plus the BlockSize and Net overrides applied to
-//     the derived workload.
-//   - experiment: Experiment, Scale (quick|paper), Engine, Sched,
-//     Lookahead, NoSteal, Workers, Net, Profile.
+//     only when Protocol is set — Sched/Storage plus the BlockSize and
+//     Net overrides applied to the derived workload.
+//   - experiment: Experiment, Scale (quick|paper), Sched, Net, Profile,
+//     Predict.
 type Spec struct {
 	Kind string `json:"kind"`
 
@@ -74,15 +72,11 @@ type Spec struct {
 	Predict bool `json:"predict,omitempty"`
 
 	// Execution knobs shared by both kinds.
-	Scale     string `json:"scale,omitempty"`
-	Protocol  string `json:"protocol,omitempty"`
-	Engine    string `json:"engine,omitempty"`
-	Sched     string `json:"sched,omitempty"`
-	Storage   string `json:"storage,omitempty"`
-	Lookahead string `json:"lookahead,omitempty"`
-	NoSteal   bool   `json:"no_steal,omitempty"`
-	Workers   int    `json:"workers,omitempty"`
-	Net       string `json:"net,omitempty"`
+	Scale    string `json:"scale,omitempty"`
+	Protocol string `json:"protocol,omitempty"`
+	Sched    string `json:"sched,omitempty"`
+	Storage  string `json:"storage,omitempty"`
+	Net      string `json:"net,omitempty"`
 }
 
 // chaosDiff reports whether the spec runs the full differential matrix
@@ -129,11 +123,10 @@ func (s Spec) normalizeChaos() (Spec, error) {
 		return s, fmt.Errorf("serve: chaos spec: experiment fields set")
 	}
 	if s.chaosDiff() {
-		// The differential matrix fixes its own combinations; explicit
-		// execution knobs would silently not apply — reject them.
-		if s.Engine != "" || s.Sched != "" || s.Storage != "" || s.Lookahead != "" ||
-			s.NoSteal || s.Workers != 0 || s.BlockSize != 0 || s.Net != "" {
-			return s, fmt.Errorf("serve: chaos differential spec (no protocol) cannot set engine/sched/storage/lookahead/no_steal/workers/block_size/net")
+		// The differential matrix fixes its own runs; explicit execution
+		// knobs would silently not apply — reject them.
+		if s.Sched != "" || s.Storage != "" || s.BlockSize != 0 || s.Net != "" {
+			return s, fmt.Errorf("serve: chaos differential spec (no protocol) cannot set sched/storage/block_size/net")
 		}
 		return s, nil
 	}
@@ -141,20 +134,11 @@ func (s Spec) normalizeChaos() (Spec, error) {
 	if s.Protocol, err = parseKind(rt.ParseProtocol(s.Protocol)); err != nil {
 		return s, err
 	}
-	if s.Engine, err = parseKind(rt.ParseEngine(s.Engine)); err != nil {
-		return s, err
-	}
 	if s.Sched, err = parseKind(rt.ParseSched(s.Sched)); err != nil {
 		return s, err
 	}
 	if s.Storage, err = parseKind(blockstate.Parse(s.Storage)); err != nil {
 		return s, err
-	}
-	if s.Lookahead, err = parseKind(rt.ParseLookahead(s.Lookahead)); err != nil {
-		return s, err
-	}
-	if s.Workers < 0 {
-		return s, fmt.Errorf("serve: chaos spec: negative workers")
 	}
 	if s.BlockSize != 0 {
 		switch s.BlockSize {
@@ -199,17 +183,8 @@ func (s Spec) normalizeExperiment() (Spec, error) {
 		return s, fmt.Errorf("serve: experiment spec: predict is only supported for the figure and sweep experiments (not %q)", s.Experiment)
 	}
 	var err error
-	if s.Engine, err = parseKind(rt.ParseEngine(s.Engine)); err != nil {
-		return s, err
-	}
 	if s.Sched, err = parseKind(rt.ParseSched(s.Sched)); err != nil {
 		return s, err
-	}
-	if s.Lookahead, err = parseKind(rt.ParseLookahead(s.Lookahead)); err != nil {
-		return s, err
-	}
-	if s.Workers < 0 {
-		return s, fmt.Errorf("serve: experiment spec: negative workers")
 	}
 	if err := validNet(s.Net); err != nil {
 		return s, err

@@ -34,7 +34,7 @@ func TestNormalizeChaosSingleComboFillsKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Engine == "" || n.Sched == "" || n.Storage == "" || n.Lookahead == "" {
+	if n.Sched == "" || n.Storage == "" {
 		t.Fatalf("single-combo defaults not filled: %+v", n)
 	}
 	if n.chaosDiff() {
@@ -77,7 +77,7 @@ func TestNormalizeRejections(t *testing.T) {
 		{"unknown kind", Spec{Kind: "nope"}, "unknown spec kind"},
 		{"negative seed", Spec{Kind: KindChaos, Seed: -1}, "negative seed"},
 		{"bad scale", Spec{Kind: KindChaos, Scale: "huge"}, "scale"},
-		{"diff with engine", Spec{Kind: KindChaos, Engine: "parallel"}, "cannot set"},
+		{"diff with sched", Spec{Kind: KindChaos, Sched: "heap"}, "cannot set"},
 		{"diff with block size", Spec{Kind: KindChaos, BlockSize: 64}, "cannot set"},
 		{"bad block size", Spec{Kind: KindChaos, Protocol: "stache", BlockSize: 48}, "block_size"},
 		{"bad protocol", Spec{Kind: KindChaos, Protocol: "mesi"}, "protocol"},

@@ -21,8 +21,7 @@ import "runtime"
 // back — via k.park — when the simulation stops: queue drained, MaxEvents
 // exceeded, or a Proc panicked. The event order, statistics and observable
 // behavior are exactly those of the classic central loop; only the number
-// of goroutine switches changes. The lane engine applies the same pattern
-// within each lane (see parallel.go).
+// of goroutine switches changes.
 
 // dispatchOutcome says where control went after a dispatch step.
 type dispatchOutcome int
@@ -35,7 +34,7 @@ const (
 	// block (or, if finished, may exit).
 	dispatchHandoff
 	// dispatchStop: no further event can be dispatched here — the baton
-	// must return to the engine goroutine.
+	// must return to Run's goroutine.
 	dispatchStop
 )
 
@@ -53,7 +52,7 @@ const (
 // self (the calling Proc), dispatchHandoff after waking a different Proc
 // (which now owns the baton), or dispatchStop after recording the stop
 // reason on the kernel. Pass self == nil when the caller cannot be
-// reactivated (the engine goroutine, or a finished Proc).
+// reactivated (Run's goroutine, or a finished Proc).
 func (k *Kernel) serialNext(self *Proc) dispatchOutcome {
 	for {
 		if k.sched.len() == 0 {
@@ -117,10 +116,6 @@ func (p *Proc) yield() {
 		// again: keep exiting instead of re-entering the kernel.
 		runtime.Goexit()
 	}
-	if l := p.lane; l != nil {
-		l.yieldFrom(p)
-		return
-	}
 	switch p.k.serialNext(p) {
 	case dispatchSelf:
 		// Reactivated without leaving this goroutine.
@@ -135,10 +130,6 @@ func (p *Proc) yield() {
 // finish passes the baton onward from a Proc whose body has returned (or
 // panicked). It runs on the Proc's goroutine as its final act.
 func (p *Proc) finish() {
-	if l := p.lane; l != nil {
-		l.finishFrom(p)
-		return
-	}
 	k := p.k
 	if p.panicVal != nil {
 		k.stop = stopPanic

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"presto/internal/runpool/pooltest"
 )
 
 // TestMailboxWraparoundGrow drives the mailbox ring directly through
@@ -168,25 +170,31 @@ func TestBarrierMemberExitsDeadlock(t *testing.T) {
 	}
 }
 
-// TestBarrierMemberExitsDeadlockParallel is the same failure mode under
-// the parallel engine, where the arrival is applied by the window commit.
+// TestBarrierMemberExitsDeadlockParallel is the same failure mode, with
+// the arrival and the exit at different virtual times, in two copies run
+// side by side on the run pool: each kernel's barrier counts only its own
+// members.
 func TestBarrierMemberExitsDeadlockParallel(t *testing.T) {
-	k := NewKernel()
-	b := k.NewBarrier(2, 0)
-	k.Spawn("stuck", func(p *Proc) {
-		p.Sleep(Microsecond)
-		p.Wait(b)
+	errs := pooltest.SideBySide(2, func(int) error {
+		k := NewKernel()
+		b := k.NewBarrier(2, 0)
+		k.Spawn("stuck", func(p *Proc) {
+			p.Sleep(Microsecond)
+			p.Wait(b)
+		})
+		k.Spawn("quitter", func(p *Proc) {
+			p.Sleep(2 * Microsecond)
+		})
+		return k.Run()
 	})
-	k.Spawn("quitter", func(p *Proc) {
-		p.Sleep(2 * Microsecond)
-	})
-	err := k.RunParallel(ParallelConfig{Workers: 2, Lookahead: Microsecond})
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %v, want DeadlockError", err)
-	}
-	if len(de.Blocked) != 1 || de.Blocked[0] != "stuck(blocked-barrier)" {
-		t.Fatalf("blocked = %v, want [stuck(blocked-barrier)]", de.Blocked)
+	for i, err := range errs {
+		var de *DeadlockError
+		if !errors.As(err, &de) {
+			t.Fatalf("copy %d: err = %v, want DeadlockError", i, err)
+		}
+		if len(de.Blocked) != 1 || de.Blocked[0] != "stuck(blocked-barrier)" {
+			t.Fatalf("copy %d: blocked = %v, want [stuck(blocked-barrier)]", i, de.Blocked)
+		}
 	}
 }
 
@@ -331,10 +339,18 @@ func TestWheelPushBatch(t *testing.T) {
 	}
 }
 
-// TestWheelPopBefore pins popBefore's contract on both schedulers: it
-// pops the head only when the head is strictly before the cutoff, and
-// never disturbs order otherwise.
+// TestWheelPopBefore pins the peek-then-pop pattern the dispatcher uses
+// to read the next event's time (the runaway stop time) on both
+// schedulers: peek shows the head without removing it, so a pop is taken
+// only when the head is strictly before a cutoff, and order is never
+// disturbed — also when the head sits in the wheel's overflow.
 func TestWheelPopBefore(t *testing.T) {
+	popBefore := func(s scheduler, cutoff Time) *event {
+		if e := s.peek(); e == nil || e.at >= cutoff {
+			return nil
+		}
+		return s.pop()
+	}
 	for _, tc := range []struct {
 		name string
 		s    scheduler
@@ -344,28 +360,31 @@ func TestWheelPopBefore(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.s
-			if e := s.popBefore(Second); e != nil {
+			if e := popBefore(s, Second); e != nil {
 				t.Fatal("popBefore on empty scheduler != nil")
 			}
 			a := wheelEvent(3*Microsecond, 0)
 			b := wheelEvent(700*Microsecond, 1) // overflow for the wheel
 			s.push(a)
 			s.push(b)
-			if e := s.popBefore(3 * Microsecond); e != nil {
+			if e := popBefore(s, 3*Microsecond); e != nil {
 				t.Fatalf("popBefore(=head.at) popped (%v, %d); cutoff is exclusive", e.at, e.seq)
 			}
-			if e := s.popBefore(4 * Microsecond); e != a {
+			if s.peek() != a || s.len() != 2 {
+				t.Fatal("peek disturbed the head")
+			}
+			if e := popBefore(s, 4*Microsecond); e != a {
 				t.Fatal("popBefore(4us) did not pop the due head")
 			}
 			// Slow path: the wheel's current bucket is exhausted, the next
 			// head sits beyond it.
-			if e := s.popBefore(700 * Microsecond); e != nil {
+			if e := popBefore(s, 700*Microsecond); e != nil {
 				t.Fatal("popBefore must not pop a head at the cutoff")
 			}
-			if e := s.popBefore(701 * Microsecond); e != b {
+			if e := popBefore(s, 701*Microsecond); e != b {
 				t.Fatal("popBefore(701us) did not pop the far head")
 			}
-			if s.len() != 0 {
+			if s.len() != 0 || s.peek() != nil {
 				t.Fatalf("len = %d after drain", s.len())
 			}
 		})
@@ -432,7 +451,7 @@ func TestWheelHeapDifferential(t *testing.T) {
 func TestWheelSizeDifferential(t *testing.T) {
 	scheds := []scheduler{
 		newWheel(Microsecond, 0),     // default 256 buckets
-		newWheel(Microsecond, 2048),  // the 1024-lane machine's hint
+		newWheel(Microsecond, 2048),  // the 1024-node machine's hint
 		newWheel(Microsecond, 1<<20), // clamped to maxWheelBuckets
 		&heapSched{},
 	}

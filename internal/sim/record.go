@@ -19,11 +19,8 @@ package sim
 // pre-post remainder). Buckets therefore sum *exactly* to the Proc's
 // final clock — the attribution invariant checked by internal/causal.
 //
-// Recording order equals commit order: under the serial engine, hooks
-// append directly to the shared ring in dispatch order; under the
-// parallel engine, edges buffer into the current laneStep and flush
-// when the step commits, so the ring sees the same global order and the
-// profile is byte-identical across engines. All hooks are guarded by a
+// Recording order equals dispatch order: hooks append directly to the
+// shared ring as events are dispatched. All hooks are guarded by a
 // single nil check (k.rec / p.aslot), so a disabled recorder is a dead
 // branch with zero allocations on the hot paths.
 
@@ -76,8 +73,8 @@ type Edge struct {
 }
 
 // Recorder is a fixed-capacity ring of causality edges shared by all
-// Procs of one kernel. It is written only in commit order (serial
-// dispatch, or parallel commit replay), so no locking is needed.
+// Procs of one kernel. It is written only in dispatch order, so no
+// locking is needed.
 type Recorder struct {
 	buf   []Edge
 	next  int
@@ -90,7 +87,7 @@ const DefaultRecorderCap = 1 << 20
 
 // EnableRecorder switches on causal edge recording with a ring holding
 // the last cap binding edges (cap <= 0 selects DefaultRecorderCap).
-// Must be called before Run/RunParallel.
+// Must be called before Run.
 func (k *Kernel) EnableRecorder(cap int) *Recorder {
 	if cap <= 0 {
 		cap = DefaultRecorderCap
@@ -120,7 +117,7 @@ func (r *Recorder) Total() int64 { return r.total }
 // Truncated reports whether the ring evicted edges.
 func (r *Recorder) Truncated() bool { return r.total > int64(len(r.buf)) }
 
-// Edges returns the retained edges in commit order, oldest first.
+// Edges returns the retained edges in dispatch order, oldest first.
 func (r *Recorder) Edges() []Edge {
 	if len(r.buf) < cap(r.buf) {
 		return append([]Edge(nil), r.buf...)
@@ -129,16 +126,6 @@ func (r *Recorder) Edges() []Edge {
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
 	return out
-}
-
-// record appends a binding-wake edge, buffering through the current
-// laneStep under the parallel engine so ring order stays commit order.
-func (p *Proc) record(e Edge) {
-	if l := p.lane; l != nil {
-		l.cur.edges = append(l.cur.edges, e)
-		return
-	}
-	p.k.rec.push(e)
 }
 
 // resumeEdge classifies and records a binding evResume wake. prev is the
@@ -156,7 +143,7 @@ func (p *Proc) resumeEdge(at, posted, prev Time, from *Proc, cause uint8) {
 	default:
 		e.Kind = EdgeSpawn
 	}
-	p.record(e)
+	p.k.rec.push(e)
 }
 
 // AttrCat is a time-attribution bucket. Every simulated nanosecond of a
@@ -279,61 +266,3 @@ func (p *Proc) chargeRecv(at, posted, prev Time) {
 	}
 	p.aslot[CatTransit] += transit
 }
-
-// EngineFlight is the parallel engine's self-observability record:
-// per-window width and occupancy distributions plus wall-clock phase
-// timers. Wall-clock fields feed only the profile artifact — never
-// fingerprints or golden outputs — so determinism is unaffected.
-type EngineFlight struct {
-	Windows     int64 // conservative windows executed
-	Events      int64 // window events handed to lanes
-	SoloWindows int64 // windows with exactly one active lane
-	// MergedWindows counts windows whose commit took the k-way merge
-	// path (some lane posted an event inside its own window); the rest
-	// used the linear pop-order walk.
-	MergedWindows int64
-	// Steals counts lanes executed by a worker that did not own their
-	// active-lane position (deterministic work stealing). Which worker
-	// runs a lane is host-scheduling-dependent, so like the wall-clock
-	// fields this counter is diagnostic only and never feeds
-	// fingerprints.
-	Steals int64
-
-	// LaneHist[i] counts windows with i+1 active lanes (capped at the
-	// last bucket); EventHist is a power-of-two histogram of events per
-	// window (bucket i counts windows with 2^(i-1) < events <= 2^i).
-	LaneHist  []int64
-	EventHist [33]int64
-
-	// Wall-clock nanoseconds spent opening windows (scheduler scan),
-	// executing lanes, and committing, as measured by the engine
-	// goroutine. Exec includes worker fan-out/join overhead.
-	OpenNS, ExecNS, CommitNS int64
-}
-
-func (f *EngineFlight) observe(activeLanes, events int) {
-	f.Windows++
-	f.Events += int64(events)
-	if activeLanes == 1 {
-		f.SoloWindows++
-	}
-	i := activeLanes - 1
-	if i >= len(f.LaneHist) {
-		i = len(f.LaneHist) - 1
-	}
-	if i >= 0 {
-		f.LaneHist[i]++
-	}
-	b := 0
-	for v := events; v > 1; v >>= 1 {
-		b++
-	}
-	if events > 1<<b {
-		b++
-	}
-	f.EventHist[b]++
-}
-
-// EngineFlightRecord returns the parallel engine's flight data, or nil
-// when the recorder was off or the run used the serial engine.
-func (k *Kernel) EngineFlightRecord() *EngineFlight { return k.eng }

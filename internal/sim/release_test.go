@@ -6,22 +6,34 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"presto/internal/runpool/pooltest"
 )
 
-// releaseEngines runs a kernel under each execution path that parks Proc
-// goroutines: the serial baton, the parallel engine's serialized chain
-// (one worker) and its worker pool.
+// releaseEngines runs kernels on each goroutine arrangement a run meets:
+// the caller's own goroutine (serial), one run-pool worker (chain) and
+// two copies side by side on the pool (pool), where each kernel must
+// release its own parked Procs. run builds its kernels with newKernel(i)
+// and returns the first copy's error; a Proc panic reaches the caller.
 var releaseEngines = []struct {
 	name string
-	run  func(k *Kernel) error
+	run  func(newKernel func(i int) *Kernel) error
 }{
-	{"serial", func(k *Kernel) error { return k.Run() }},
-	{"chain", func(k *Kernel) error {
-		return k.RunParallel(ParallelConfig{Workers: 1, Lookahead: Microsecond})
-	}},
-	{"pool", func(k *Kernel) error {
-		return k.RunParallel(ParallelConfig{Workers: 2, Lookahead: Microsecond})
-	}},
+	{"serial", func(nk func(int) *Kernel) error { return nk(0).Run() }},
+	{"chain", func(nk func(int) *Kernel) error { return runCopies(1, nk) }},
+	{"pool", func(nk func(int) *Kernel) error { return runCopies(2, nk) }},
+}
+
+// runCopies runs n kernels side by side on the run pool and returns the
+// first one's error, or a mismatch if the copies stopped differently.
+func runCopies(n int, nk func(int) *Kernel) error {
+	errs := pooltest.SideBySide(n, func(i int) error { return nk(i).Run() })
+	for i, err := range errs[1:] {
+		if fmt.Sprint(err) != fmt.Sprint(errs[0]) {
+			return fmt.Errorf("copy %d stopped with %v, copy 0 with %v", i+1, err, errs[0])
+		}
+	}
+	return errs[0]
 }
 
 // settleGoroutines waits briefly for the goroutine count to fall back to
@@ -61,7 +73,7 @@ func pingForever(k *Kernel) {
 }
 
 // TestReleaseEveryStopReason checks that no run leaves a goroutine behind,
-// whichever way it stops and on every engine path.
+// whichever way it stops and on whichever goroutine it runs.
 func TestReleaseEveryStopReason(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -125,13 +137,15 @@ func TestReleaseEveryStopReason(t *testing.T) {
 		for _, c := range cases {
 			t.Run(eng.name+"/"+c.name, func(t *testing.T) {
 				before := runtime.NumGoroutine()
-				k := NewKernel()
-				c.build(k)
 				var err error
 				var panicked any
 				func() {
 					defer func() { panicked = recover() }()
-					err = eng.run(k)
+					err = eng.run(func(int) *Kernel {
+						k := NewKernel()
+						c.build(k)
+						return k
+					})
 				}()
 				c.check(t, err, panicked)
 				settleGoroutines(t, before)
@@ -141,19 +155,19 @@ func TestReleaseEveryStopReason(t *testing.T) {
 }
 
 // TestReleaseBeforeStart covers a run that fails before dispatching any
-// event: the spawned Procs never started, and must still exit.
+// event: Procs spawned on a kernel that already ran never start, and the
+// failing Run must still end their goroutines.
 func TestReleaseBeforeStart(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel()
+	k.Spawn("once", func(p *Proc) { p.Sleep(Microsecond) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
 	pingForever(k)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("RunParallel accepted a zero lookahead")
-			}
-		}()
-		k.RunParallel(ParallelConfig{Workers: 1})
-	}()
+	if err := k.Run(); err == nil {
+		t.Fatal("a second Run of the kernel succeeded")
+	}
 	settleGoroutines(t, before)
 }
 
@@ -191,43 +205,62 @@ func TestReleaseKeepsState(t *testing.T) {
 // again. Release runs each defer once, recover sees no panic, and the
 // re-entry exits instead of dispatching: the kernel's counts stand.
 func TestReleaseRunsBodyDefersOnce(t *testing.T) {
+	// bodyDefers is one kernel's view of its daemon's deferred calls.
+	type bodyDefers struct {
+		k                       *Kernel
+		recovered               []any
+		reentered, afterReentry int
+	}
 	for _, eng := range releaseEngines {
 		t.Run(eng.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			k := NewKernel()
-			var recovered []any
-			var reentered, afterReentry int
-			d := k.Spawn("daemon", func(p *Proc) {
-				defer func() {
-					recovered = append(recovered, recover())
-				}()
-				defer func() {
-					reentered++
-					p.Recv() // must not dispatch: the run is over
-					afterReentry++
-				}()
-				for {
-					p.Recv()
-				}
+			var copies [2]bodyDefers
+			err := eng.run(func(i int) *Kernel {
+				c := &copies[i]
+				c.k = NewKernel()
+				d := c.k.Spawn("daemon", func(p *Proc) {
+					defer func() {
+						c.recovered = append(c.recovered, recover())
+					}()
+					defer func() {
+						c.reentered++
+						p.Recv() // must not dispatch: the run is over
+						c.afterReentry++
+					}()
+					for {
+						p.Recv()
+					}
+				})
+				d.SetDaemon(true)
+				c.k.Spawn("main", func(p *Proc) {
+					p.Send(d, 1, Microsecond)
+					p.Sleep(2 * Microsecond)
+				})
+				return c.k
 			})
-			d.SetDaemon(true)
-			k.Spawn("main", func(p *Proc) {
-				p.Send(d, 1, Microsecond)
-				p.Sleep(2 * Microsecond)
-			})
-			if err := eng.run(k); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
-			events := k.Processed()
+			var events [2]int64
+			for i, c := range copies {
+				if c.k != nil {
+					events[i] = c.k.Processed()
+				}
+			}
 			settleGoroutines(t, before)
-			if reentered != 1 || afterReentry != 0 {
-				t.Fatalf("re-entering defer ran %d times, continued %d times; want 1, 0", reentered, afterReentry)
-			}
-			if len(recovered) != 1 || recovered[0] != nil {
-				t.Fatalf("recover() in the body's defer saw %v, want one nil", recovered)
-			}
-			if k.Processed() != events {
-				t.Fatalf("events %d -> %d after release", events, k.Processed())
+			for i, c := range copies {
+				if c.k == nil {
+					continue // the engine ran fewer copies
+				}
+				if c.reentered != 1 || c.afterReentry != 0 {
+					t.Fatalf("copy %d: re-entering defer ran %d times, continued %d times; want 1, 0", i, c.reentered, c.afterReentry)
+				}
+				if len(c.recovered) != 1 || c.recovered[0] != nil {
+					t.Fatalf("copy %d: recover() in the body's defer saw %v, want one nil", i, c.recovered)
+				}
+				if c.k.Processed() != events[i] {
+					t.Fatalf("copy %d: events %d -> %d after release", i, events[i], c.k.Processed())
+				}
 			}
 		})
 	}

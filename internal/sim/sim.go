@@ -3,15 +3,12 @@
 // The kernel models a parallel machine in virtual time. Each simulated
 // activity is a Proc: a goroutine with a private virtual clock that
 // exchanges timestamped messages with other Procs and synchronizes at
-// barriers. Under the serial engine (Run) the kernel serializes execution —
-// exactly one Proc goroutine runs at any real instant, and control is
-// handed out in global (timestamp, sequence) order — so simulations are
-// fully deterministic and need no locking in the simulated node state.
-//
-// The parallel engine (RunParallel) executes groups of Procs ("lanes")
-// concurrently inside conservative lookahead windows and commits their
-// side effects in the same global (timestamp, sequence) order, producing
-// results byte-identical to the serial engine; see parallel.go.
+// barriers. The kernel serializes execution — exactly one Proc goroutine
+// runs at any real instant, and control is handed out in global
+// (timestamp, sequence) order — so simulations are fully deterministic
+// and need no locking in the simulated node state. Multi-core hosts are
+// used one level up, by running independent simulations side by side
+// (internal/runpool).
 //
 // A Proc advances its own clock with Advance (batched, without yielding to
 // the kernel); cross-Proc interaction happens only through timestamped
@@ -117,8 +114,6 @@ type Proc struct {
 	mlen  int
 
 	resume chan struct{}
-	park   chan struct{} // the executor's park channel (kernel's, or the lane's)
-	lane   *lane         // non-nil while running under the parallel engine
 	fn     func(*Proc)
 
 	// Time attribution (record.go). aslot == nil — the default — disables
@@ -205,11 +200,6 @@ type event struct {
 	// (record.go): causeTimer for Sleep expiries, causeBarrier for
 	// barrier releases, causeNone for the initial spawn resume.
 	cause uint8
-
-	// fresh marks an event posted during the current lookahead window of
-	// a parallel run: its seq is a provisional lane-local order key until
-	// the commit replay assigns the real global sequence number.
-	fresh bool
 }
 
 // eventPool is a free list of event nodes. Events are recycled once
@@ -290,7 +280,7 @@ type Kernel struct {
 	procs []*Proc
 	sched scheduler
 	seq   uint64
-	park  chan struct{} // the baton returns here when the serial engine stops
+	park  chan struct{} // the baton returns here when the simulation stops
 	pool  eventPool
 	batch []*event // scratch for batch barrier releases
 
@@ -301,13 +291,15 @@ type Kernel struct {
 
 	started  bool
 	finished bool
-	parallel bool
 
 	// released is set once the run is over (release): every Proc still
 	// parked on its resume channel is woken by a close and exits through
-	// runtime.Goexit; exits counts those goroutines down.
-	released bool
-	exits    sync.WaitGroup
+	// runtime.Goexit; exits counts those goroutines down. procs[:nreleased]
+	// have been through release; a Proc spawned after the run is released
+	// by the next Run call, which fails without dispatching.
+	released  bool
+	nreleased int
+	exits     sync.WaitGroup
 
 	// MaxEvents, when positive, bounds the number of events Run will
 	// process — a guard against protocol livelock in tests.
@@ -318,16 +310,15 @@ type Kernel struct {
 	resumes    int64
 	maxQueue   int
 
-	// Causal profiling (record.go). Both are nil unless EnableRecorder
-	// ran; every hot-path hook guards on that nil.
+	// Causal profiling (record.go). Nil unless EnableRecorder ran; every
+	// hot-path hook guards on that nil.
 	rec *Recorder
-	eng *EngineFlight
 }
 
 // KernelStats is the kernel's own accounting: total events dispatched,
 // the split into message deliveries and Proc resumes (scheduling), and
 // the event queue's high-water mark. Deterministic for a deterministic
-// simulation — and identical across the serial and parallel engines — so
+// simulation, so
 // exact values are assertable in tests.
 type KernelStats struct {
 	Events     int64 `json:"events"`
@@ -358,11 +349,8 @@ func NewKernel() *Kernel {
 // Spawn registers a new Proc that will begin executing fn at virtual time 0
 // when Run is called (or immediately, if the serial simulation is already
 // running). Daemon Procs (see SetDaemon) do not prevent Run from
-// completing. Spawning after RunParallel has started is not supported.
+// completing.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
-	if k.started && k.parallel {
-		panic("sim: Spawn during a parallel run")
-	}
 	p := &Proc{
 		k:       k,
 		id:      len(k.procs),
@@ -371,9 +359,6 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		resume:  make(chan struct{}),
 		fn:      fn,
 		waitCat: CatIdle,
-	}
-	if k.started {
-		p.park = k.park
 	}
 	k.procs = append(k.procs, p)
 	go p.run()
@@ -421,22 +406,20 @@ func (p *Proc) wait() {
 }
 
 // release ends the goroutine of every Proc that has not finished and
-// waits until they are gone. Run and RunParallel defer it, so it runs
+// waits until they are gone. Run defers it, so it runs
 // whichever way the run stops: drained, deadlock, runaway, a Proc panic
 // or an early error. Proc state (clocks, mailboxes, statistics) is left
 // as the run left it; only the goroutines go.
 func (k *Kernel) release() {
-	if k.released {
-		return
-	}
 	k.released = true
-	for _, p := range k.procs {
+	for _, p := range k.procs[k.nreleased:] {
 		if p.state == stateDone {
 			continue
 		}
 		k.exits.Add(1)
 		close(p.resume)
 	}
+	k.nreleased = len(k.procs)
 	k.exits.Wait()
 }
 
@@ -476,36 +459,14 @@ func (k *Kernel) releaseAll(waiters []*Proc, self *Proc, at, posted Time) {
 	k.batch = es[:0]
 }
 
-// postFrom schedules an event on behalf of the running Proc p, routing it
-// through p's lane buffer under the parallel engine. The poster's current
-// clock is stamped as the event's posted time (flight-recorder edges).
+// postFrom schedules an event on behalf of the running Proc p. The
+// poster's current clock is stamped as the event's posted time
+// (flight-recorder edges).
 func (p *Proc) postFrom(at Time, kind eventKind, dst, from *Proc, msg any, cause uint8) {
-	if l := p.lane; l != nil {
-		l.postLocal(at, kind, dst, from, msg, p.now, cause)
-		return
-	}
 	e := p.k.pool.get()
 	e.at, e.kind, e.proc, e.from, e.msg = at, kind, dst, from, msg
 	e.posted, e.cause = p.now, cause
 	p.k.post(e)
-}
-
-// OnCommit runs fn when the current event commits in global order. Under
-// the serial engine that is immediately; under the parallel engine fn is
-// buffered and invoked during the window's commit replay, after all
-// virtual-time-earlier events of other lanes have committed. Side effects
-// that escape the simulated node state (trace records, shared sinks) must
-// go through OnCommit so both engines emit them in the same order. fn runs
-// single-threaded, on whichever goroutine performs the commit; it must not
-// call back into the kernel, and it
-// must capture any simulated state it needs by value — the Proc may have
-// run further ahead inside the window by the time fn executes.
-func (p *Proc) OnCommit(fn func()) {
-	if l := p.lane; l != nil {
-		l.cur.effects = append(l.cur.effects, fn)
-		return
-	}
-	fn()
 }
 
 // Send schedules delivery of msg to dst at p.Now()+delay. The sender's own
@@ -546,7 +507,7 @@ func (p *Proc) Recv() Delivery {
 			p.chargeRecv(d.At, d.Posted, p.now)
 		}
 		if p.k.rec != nil {
-			p.record(Edge{Kind: EdgeDeliver, Src: procID(d.From), Dst: int32(p.id),
+			p.k.rec.push(Edge{Kind: EdgeDeliver, Src: procID(d.From), Dst: int32(p.id),
 				At: d.At, Posted: d.Posted, Prev: p.now})
 		}
 		p.now = d.At
@@ -565,7 +526,7 @@ func (p *Proc) TryRecv() (Delivery, bool) {
 			p.chargeRecv(d.At, d.Posted, p.now)
 		}
 		if p.k.rec != nil {
-			p.record(Edge{Kind: EdgeDeliver, Src: procID(d.From), Dst: int32(p.id),
+			p.k.rec.push(Edge{Kind: EdgeDeliver, Src: procID(d.From), Dst: int32(p.id),
 				At: d.At, Posted: d.Posted, Prev: p.now})
 		}
 		p.now = d.At
@@ -609,7 +570,6 @@ type Barrier struct {
 	count   int
 	maxAt   Time
 	waiters []*Proc
-	epoch   uint64
 }
 
 // NewBarrier creates a barrier for n participants with the given per-use
@@ -628,18 +588,6 @@ func (p *Proc) Wait(b *Barrier) Time {
 		panic("sim: barrier from a different kernel")
 	}
 	arrive := p.now
-	if l := p.lane; l != nil {
-		// Parallel engine: barrier state is shared across lanes, so the
-		// arrival is only logged here; the commit replay applies it — and
-		// synthesizes the release events — in global order (see
-		// applyArrival in parallel.go).
-		st := l.cur
-		st.barrier = b
-		st.barrierAt = arrive
-		p.state = stateBlockedBarrier
-		p.yield()
-		return p.now - arrive
-	}
 	b.count++
 	if arrive > b.maxAt {
 		b.maxAt = arrive
@@ -657,7 +605,6 @@ func (p *Proc) Wait(b *Barrier) Time {
 	b.count = 0
 	b.maxAt = 0
 	b.waiters = b.waiters[:0]
-	b.epoch++
 	p.state = stateBlockedBarrier
 	p.yield()
 	return p.now - arrive
@@ -696,14 +643,11 @@ func (e *DeadlockError) Error() string {
 // directly from Proc to Proc in global event order (see dispatch.go), and
 // this goroutine resumes only when the simulation stops.
 func (k *Kernel) Run() error {
+	defer k.release()
 	if k.finished {
 		return fmt.Errorf("sim: kernel already ran")
 	}
-	defer k.release()
 	k.started = true
-	for _, p := range k.procs {
-		p.park = k.park
-	}
 	if k.serialNext(nil) == dispatchHandoff {
 		<-k.park
 	}

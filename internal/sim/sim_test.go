@@ -393,3 +393,38 @@ func TestChainLatencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMailboxRingWraps exercises wraparound + growth of the mailbox ring.
+func TestMailboxRingWraps(t *testing.T) {
+	k := NewKernel()
+	const msgs = 100
+	var got []int
+	cons := k.Spawn("cons", func(p *Proc) {
+		// Alternate sleeping (letting deliveries pile up) and draining a few.
+		for len(got) < msgs {
+			p.Sleep(10 * Microsecond)
+			for i := 0; i < 7; i++ {
+				if d, ok := p.TryRecv(); ok {
+					got = append(got, d.Msg.(int))
+				}
+			}
+		}
+	})
+	k.Spawn("prod", func(p *Proc) {
+		for i := 0; i < msgs; i++ {
+			p.Send(cons, i, Microsecond)
+			p.Sleep(2 * Microsecond)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != msgs {
+		t.Fatalf("got %d msgs", len(got))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("out of order at %d: %d", i, v)
+		}
+	}
+}

@@ -31,7 +31,7 @@ const (
 // DefaultWheelGranularity is the bucket width used when no explicit
 // granularity is configured. Simulations driven by a network cost model
 // should pass the model's minimum cross-node latency instead (see
-// rt.Config.Sched), which aligns one lookahead window with O(1) buckets.
+// rt.Config.Sched), so one bucket spans the smallest cross-node gap.
 const DefaultWheelGranularity = Microsecond
 
 // scheduler is the kernel's pending-event set, ordered by (at, seq).
@@ -39,8 +39,7 @@ type scheduler interface {
 	push(e *event)
 	pushBatch(es []*event) // all events share es[0].at; seqs ascending
 	pop() *event
-	peek() *event            // nil when empty
-	popBefore(t Time) *event // pop the head iff it exists and is before t
+	peek() *event // nil when empty
 	len() int
 }
 
@@ -84,12 +83,6 @@ func (s *heapSched) pushBatch(es []*event) {
 		s.h.push(e)
 	}
 }
-func (s *heapSched) popBefore(t Time) *event {
-	if len(s.h) == 0 || s.h.peek().at >= t {
-		return nil
-	}
-	return s.h.pop()
-}
 func (s *heapSched) peek() *event {
 	if len(s.h) == 0 {
 		return nil
@@ -102,7 +95,7 @@ func (s *heapSched) peek() *event {
 // ahead an event may land and still get an O(1) bucket append; anything
 // farther waits in the overflow heap and migrates into its bucket as the
 // cursor sweeps forward. Large machines pass a bigger hint through
-// UseSchedulerSized (rt scales it with the node count) so a 1024-lane
+// UseSchedulerSized (rt scales it with the node count) so a 1024-node
 // burst doesn't thrash the overflow heap.
 const wheelBuckets = 256
 
@@ -253,30 +246,6 @@ func (w *wheelSched) pop() *event {
 	e := w.peek()
 	if e == nil {
 		panic("sim: pop from empty scheduler")
-	}
-	w.cur[w.curPos] = nil
-	w.curPos++
-	w.inWheel--
-	return e
-}
-
-// popBefore pops the head event iff one exists with at < t. The fast path
-// — the current bucket's sorted remainder has a due head — is a single
-// bounds check and indexed load, which matters in the window-open loop
-// where the engine drains a burst in one sweep.
-func (w *wheelSched) popBefore(t Time) *event {
-	if w.curPos < len(w.cur) {
-		if e := w.cur[w.curPos]; e.at < t {
-			w.cur[w.curPos] = nil
-			w.curPos++
-			w.inWheel--
-			return e
-		}
-		return nil
-	}
-	e := w.peek()
-	if e == nil || e.at >= t {
-		return nil
 	}
 	w.cur[w.curPos] = nil
 	w.curPos++

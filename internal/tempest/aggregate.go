@@ -30,7 +30,7 @@ import (
 // is unordered even without aggregation).
 //
 // Flush discipline (all triggers are functions of virtual state, so
-// serial and parallel runs flush identically):
+// every run of a configuration flushes identically):
 //
 //  1. Occupancy cap: a group buffer reaching aggFlushEntries entries
 //     flushes immediately, bounding buffered data and message size.

@@ -6,9 +6,8 @@ import "sync"
 // replies, update pushes) take one with GetBulk, hand ownership to the
 // message, and the receiver returns it with PutBulk once every entry is
 // installed — so steady-state bulk traffic reuses entry arrays and payload
-// slabs instead of allocating per message. sync.Pool makes the hand-off
-// safe under the parallel engine, where sender and receiver run on
-// different lanes.
+// slabs instead of allocating per message. sync.Pool keeps the hand-off
+// safe when independent machines run side by side in one process.
 var bulkPool = sync.Pool{
 	New: func() any {
 		return &Bulk{Entries: make([]BulkEntry, 0, 4)}

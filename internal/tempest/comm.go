@@ -36,8 +36,8 @@ type Segment struct {
 // segments plus per-phase pre-send arrivals. Recording is observation
 // only — it charges no virtual time and never perturbs the simulation —
 // and all state is updated exclusively by the owning node's processors,
-// which share a lane under the parallel engine, so no synchronization
-// is needed (the same argument as Stats).
+// which the kernel runs one at a time, so no synchronization is needed
+// (the same argument as Stats).
 type CommRecord struct {
 	// Segments is the node's access trace in issue order (issue times
 	// are nondecreasing: each compute processor issues sequentially).

@@ -139,8 +139,8 @@ type Node struct {
 
 	// Rec, when non-nil, records the node's communication schedule for
 	// the analytical predictor (rt.Config.Record). Updated only by this
-	// node's own processors, which share a lane under the parallel
-	// engine, so recording is race-free without synchronization.
+	// node's own processors, which the kernel runs one at a time, so
+	// recording is race-free without synchronization.
 	Rec *CommRecord
 
 	// Prof, when non-nil, maps a phase ID (-1 = between phases) to the
@@ -151,8 +151,7 @@ type Node struct {
 
 	// flowSeq counts this node's traced sends. Flow IDs are node-tagged
 	// (node ID in the high bits) so they are unique machine-wide without
-	// any cross-node shared counter — a requirement for the parallel
-	// engine, where nodes trace concurrently.
+	// any cross-node shared counter.
 	flowSeq int64
 
 	// Phase attribution: curPhase points at the per-phase accumulator of
@@ -332,12 +331,11 @@ func (n *Node) Post(src *sim.Proc, dst *Node, m Msg) {
 		if src == n.Compute {
 			proc = trace.ProcCompute
 		}
-		ev := trace.Event{
+		n.Trace.Record(trace.Event{
 			At: src.Now(), Node: n.ID, Proc: proc, Kind: trace.Send,
 			Phase: n.phaseID, Iter: n.phaseIter, Flow: flow,
 			What: fmt.Sprintf("%s -> n%d", MsgString(m), dst.ID),
-		}
-		src.OnCommit(func() { n.Trace.Record(ev) })
+		})
 	}
 	if dst == n {
 		src.AdvanceCat(n.Net.LocalOverhead, sim.CatOccupancy)
@@ -420,12 +418,11 @@ func (n *Node) fault(p *sim.Proc, a memory.Addr, write bool) {
 	p.AdvanceCat(n.Net.FaultDetect, sim.CatOccupancy)
 	b := n.AS.BlockOf(a)
 	if n.Trace != nil {
-		ev := trace.Event{
+		n.Trace.Record(trace.Event{
 			At: p.Now(), Node: n.ID, Proc: trace.ProcCompute, Kind: trace.Fault,
 			Phase: n.phaseID, Iter: n.phaseIter,
 			What: fmt.Sprintf("block %#x write=%v", uint64(b), write),
-		}
-		p.OnCommit(func() { n.Trace.Record(ev) })
+		})
 	}
 	if n.presendFresh.Count() > 0 && n.presendFresh.Clear(b) {
 		// A pre-sent copy was installed but invalidated or recalled
@@ -679,12 +676,11 @@ func (n *Node) ProtocolLoop(p *sim.Proc) {
 		if m, ok := d.Msg.(Msg); ok {
 			n.Met.Recv[KindOf(m)].Inc()
 			if n.Trace != nil {
-				ev := trace.Event{
+				n.Trace.Record(trace.Event{
 					At: p.Now(), Node: n.ID, Proc: trace.ProcProto, Kind: trace.Recv,
 					Phase: n.phaseID, Iter: n.phaseIter, Flow: flow,
 					What: MsgString(m),
-				}
-				p.OnCommit(func() { n.Trace.Record(ev) })
+				})
 			}
 		}
 		if agg, ok := d.Msg.(MsgAgg); ok {

@@ -136,7 +136,7 @@ func (u *Update) installUpdate(n *tempest.Node, b memory.Block, data []byte) {
 // destination the push has touched. It comes from pushPool, so its size
 // follows the destinations of one push (not the machine's node count)
 // and only the pushes running at one instant hold one — a single scratch
-// under the serial engine.
+// per machine, since the kernel runs one processor at a time.
 type pushScratch struct {
 	slot map[int]int // destination -> index into pend
 	pend []pendingPush
@@ -198,7 +198,11 @@ func (u *Update) Push(n *tempest.Node, src *sim.Proc, blocks []memory.Block) {
 			flushPush(n, src, &ps.pend[i])
 		}
 	}
-	clear(ps.slot)
+	// Delete only this push's keys: clear would walk every slot of a map
+	// that once held a kilonode push's sharers, on every later push.
+	for i := range ps.pend {
+		delete(ps.slot, ps.pend[i].dst)
+	}
 	ps.pend = ps.pend[:0]
 	pushPool.Put(ps)
 	// A push is one operation: drain the aggregation buffers before the

@@ -152,8 +152,8 @@ type (
 	ExperimentResult = harness.Result
 	// Scale selects quick (CI) or paper workload sizes.
 	Scale = harness.Scale
-	// ExperimentOptions selects the workload scale and kernel engine for
-	// an experiment run.
+	// ExperimentOptions selects the workload scale and machine-wide knobs
+	// for an experiment run.
 	ExperimentOptions = harness.Options
 )
 
@@ -173,5 +173,5 @@ func ExperimentByID(id string) (Experiment, bool) { return harness.ByID(id) }
 
 // RunExperiment executes one artifact with the given options.
 func RunExperiment(e Experiment, o ExperimentOptions) (*ExperimentResult, error) {
-	return harness.RunExperiment(e, o)
+	return e.Run(o)
 }

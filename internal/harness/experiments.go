@@ -173,10 +173,19 @@ func runFigure5(o Options) (*Result, error) {
 		{"C** opt (256)", rt.ProtoPredictive, 256},
 	}
 	pc := newPredictor()
+	if o.Predict {
+		var specs []calSpec
+		for _, v := range versions {
+			specs = append(specs, adaptiveCal(o, v.proto))
+		}
+		if err := pc.calibrate(specs...); err != nil {
+			return nil, err
+		}
+	}
 	for _, v := range versions {
 		var row Row
 		if o.Predict {
-			cal, err := pc.adaptive(o, v.proto)
+			cal, err := pc.calibration(adaptiveCal(o, v.proto))
 			if err != nil {
 				return nil, err
 			}
@@ -224,10 +233,19 @@ func runFigure6(o Options) (*Result, error) {
 		{"SPMD write-update (1024)", rt.ProtoUpdate, 1024, true},
 	}
 	pc := newPredictor()
+	if o.Predict {
+		var specs []calSpec
+		for _, v := range versions {
+			specs = append(specs, barnesCal(o, v.proto, v.spmd))
+		}
+		if err := pc.calibrate(specs...); err != nil {
+			return nil, err
+		}
+	}
 	for _, v := range versions {
 		var row Row
 		if o.Predict {
-			cal, err := pc.barnes(o, v.proto, v.spmd)
+			cal, err := pc.calibration(barnesCal(o, v.proto, v.spmd))
 			if err != nil {
 				return nil, err
 			}
@@ -275,12 +293,21 @@ func runFigure7(o Options) (*Result, error) {
 		{"Splash", rt.ProtoStache, true},
 	}
 	pc := newPredictor()
+	if o.Predict {
+		var specs []calSpec
+		for _, v := range versions {
+			specs = append(specs, waterCal(o, v.proto, v.splash))
+		}
+		if err := pc.calibrate(specs...); err != nil {
+			return nil, err
+		}
+	}
 	for _, v := range versions {
 		var best *Row
 		for _, bs := range []int{32, 128, 256} {
 			var row Row
 			if o.Predict {
-				cal, err := pc.water(o, v.proto, v.splash)
+				cal, err := pc.calibration(waterCal(o, v.proto, v.splash))
 				if err != nil {
 					return nil, err
 				}
@@ -361,15 +388,25 @@ func runInspector(o Options) (*Result, error) {
 
 func runSweep(o Options) (*Result, error) {
 	res := &Result{ID: "sweep", Title: "Block-size sweep (Water), unopt vs opt"}
+	versions := []struct {
+		label string
+		proto rt.ProtocolKind
+	}{{"unopt", rt.ProtoStache}, {"opt", rt.ProtoPredictive}}
 	pc := newPredictor()
+	if o.Predict {
+		var specs []calSpec
+		for _, v := range versions {
+			specs = append(specs, waterCal(o, v.proto, false))
+		}
+		if err := pc.calibrate(specs...); err != nil {
+			return nil, err
+		}
+	}
 	for _, bs := range []int{32, 64, 128, 256, 1024} {
-		for _, v := range []struct {
-			label string
-			proto rt.ProtocolKind
-		}{{"unopt", rt.ProtoStache}, {"opt", rt.ProtoPredictive}} {
+		for _, v := range versions {
 			label := fmt.Sprintf("water %s (%d)", v.label, bs)
 			if o.Predict {
-				cal, err := pc.water(o, v.proto, false)
+				cal, err := pc.calibration(waterCal(o, v.proto, false))
 				if err != nil {
 					return nil, err
 				}

@@ -10,6 +10,7 @@ import (
 	"presto/internal/network"
 	"presto/internal/predict"
 	"presto/internal/rt"
+	"presto/internal/runpool"
 )
 
 // predictCalBS is the block size every calibration simulation runs at.
@@ -28,27 +29,70 @@ func newPredictor() *predictor {
 	return &predictor{cals: map[string]*predict.Calibration{}}
 }
 
-// calibration runs (or reuses) one recorded calibration simulation and
-// distills it. build must run the application at predictCalBS with the
+// calSpec names one calibration: its cache key, the application and the
+// recorded run. build must run the application at predictCalBS with the
 // profiler and recorder enabled.
-func (p *predictor) calibration(key, app string, build func() (*rt.Machine, error)) (*predict.Calibration, error) {
-	if cal, ok := p.cals[key]; ok {
-		return cal, nil
-	}
-	m, err := build()
+type calSpec struct {
+	key, app string
+	build    func() (*rt.Machine, error)
+}
+
+// run records the calibration simulation and distills it.
+func (s calSpec) run() (*predict.Calibration, error) {
+	m, err := s.build()
 	if err != nil {
-		return nil, fmt.Errorf("calibrating %s: %w", key, err)
+		return nil, fmt.Errorf("calibrating %s: %w", s.key, err)
 	}
-	cal, err := predict.Calibrate(m, app)
+	cal, err := predict.Calibrate(m, s.app)
 	if err != nil {
-		return nil, fmt.Errorf("calibrating %s: %w", key, err)
+		return nil, fmt.Errorf("calibrating %s: %w", s.key, err)
 	}
-	p.cals[key] = cal
 	return cal, nil
 }
 
-func (p *predictor) adaptive(o Options, proto rt.ProtocolKind) (*predict.Calibration, error) {
-	return p.calibration("adaptive/"+string(proto), "adaptive", func() (*rt.Machine, error) {
+// calibrate records every listed calibration not yet cached, side by
+// side on the run pool (each is an independent single-threaded
+// simulation), and caches them in list order. It returns the error of
+// the first failing one in list order — the one a serial loop would
+// have stopped at — leaving the calibrations before it cached.
+func (p *predictor) calibrate(specs ...calSpec) error {
+	var todo []calSpec
+	queued := map[string]bool{}
+	for _, s := range specs {
+		if _, ok := p.cals[s.key]; !ok && !queued[s.key] {
+			queued[s.key] = true
+			todo = append(todo, s)
+		}
+	}
+	type outcome struct {
+		cal *predict.Calibration
+		err error
+	}
+	var err error
+	runpool.Ordered(nil, len(todo), func(i int) outcome {
+		cal, err := todo[i].run()
+		return outcome{cal, err}
+	}, func(i int, o outcome) bool {
+		if o.err != nil {
+			err = o.err
+			return false
+		}
+		p.cals[todo[i].key] = o.cal
+		return true
+	})
+	return err
+}
+
+// calibration returns s's calibration, recording it if not yet cached.
+func (p *predictor) calibration(s calSpec) (*predict.Calibration, error) {
+	if err := p.calibrate(s); err != nil {
+		return nil, err
+	}
+	return p.cals[s.key], nil
+}
+
+func adaptiveCal(o Options, proto rt.ProtocolKind) calSpec {
+	return calSpec{key: "adaptive/" + string(proto), app: "adaptive", build: func() (*rt.Machine, error) {
 		cfg := adaptiveCfg(o, proto, predictCalBS)
 		cfg.Machine.Profile = true
 		cfg.Machine.Record = true
@@ -57,12 +101,11 @@ func (p *predictor) adaptive(o Options, proto rt.ProtocolKind) (*predict.Calibra
 			return nil, err
 		}
 		return r.Machine, nil
-	})
+	}}
 }
 
-func (p *predictor) barnes(o Options, proto rt.ProtocolKind, spmd bool) (*predict.Calibration, error) {
-	key := fmt.Sprintf("barnes/%s/spmd=%v", proto, spmd)
-	return p.calibration(key, "barnes", func() (*rt.Machine, error) {
+func barnesCal(o Options, proto rt.ProtocolKind, spmd bool) calSpec {
+	return calSpec{key: fmt.Sprintf("barnes/%s/spmd=%v", proto, spmd), app: "barnes", build: func() (*rt.Machine, error) {
 		cfg := barnesCfg(o, proto, predictCalBS, spmd)
 		cfg.Machine.Profile = true
 		cfg.Machine.Record = true
@@ -71,12 +114,11 @@ func (p *predictor) barnes(o Options, proto rt.ProtocolKind, spmd bool) (*predic
 			return nil, err
 		}
 		return r.Machine, nil
-	})
+	}}
 }
 
-func (p *predictor) water(o Options, proto rt.ProtocolKind, splash bool) (*predict.Calibration, error) {
-	key := fmt.Sprintf("water/%s/splash=%v", proto, splash)
-	return p.calibration(key, "water", func() (*rt.Machine, error) {
+func waterCal(o Options, proto rt.ProtocolKind, splash bool) calSpec {
+	return calSpec{key: fmt.Sprintf("water/%s/splash=%v", proto, splash), app: "water", build: func() (*rt.Machine, error) {
 		cfg := waterCfg(o, proto, predictCalBS, splash)
 		cfg.Machine.Profile = true
 		cfg.Machine.Record = true
@@ -85,7 +127,7 @@ func (p *predictor) water(o Options, proto rt.ProtocolKind, splash bool) (*predi
 			return nil, err
 		}
 		return r.Machine, nil
-	})
+	}}
 }
 
 // predictedRow extrapolates one figure row from a calibration. At the
@@ -134,7 +176,7 @@ type figureTarget struct {
 	experiment string
 	label      string
 	bs         int
-	cal        func(*predictor, Options) (*predict.Calibration, error)
+	cal        func(Options) calSpec
 	sim        func(Options) (rt.Breakdown, error)
 }
 
@@ -154,7 +196,7 @@ func figureTargets() []figureTarget {
 		v := v
 		out = append(out, figureTarget{
 			experiment: "figure5", label: v.label, bs: v.bs,
-			cal: func(p *predictor, o Options) (*predict.Calibration, error) { return p.adaptive(o, v.proto) },
+			cal: func(o Options) calSpec { return adaptiveCal(o, v.proto) },
 			sim: func(o Options) (rt.Breakdown, error) {
 				r, err := adaptive.Run(adaptiveCfg(o, v.proto, v.bs))
 				if err != nil {
@@ -180,7 +222,7 @@ func figureTargets() []figureTarget {
 		v := v
 		out = append(out, figureTarget{
 			experiment: "figure6", label: v.label, bs: v.bs,
-			cal: func(p *predictor, o Options) (*predict.Calibration, error) { return p.barnes(o, v.proto, v.spmd) },
+			cal: func(o Options) calSpec { return barnesCal(o, v.proto, v.spmd) },
 			sim: func(o Options) (rt.Breakdown, error) {
 				r, err := barnes.Run(barnesCfg(o, v.proto, v.bs, v.spmd))
 				if err != nil {
@@ -205,7 +247,7 @@ func figureTargets() []figureTarget {
 			bs := bs
 			out = append(out, figureTarget{
 				experiment: "figure7", label: fmt.Sprintf("%s (%d)", v.prefix, bs), bs: bs,
-				cal: func(p *predictor, o Options) (*predict.Calibration, error) { return p.water(o, v.proto, v.splash) },
+				cal: func(o Options) calSpec { return waterCal(o, v.proto, v.splash) },
 				sim: func(o Options) (rt.Breakdown, error) {
 					r, err := water.Run(waterCfg(o, v.proto, bs, v.splash))
 					if err != nil {
@@ -242,24 +284,53 @@ func runPredictError(o Options) (*Result, error) {
 
 // FigureErrorTable builds the predicted-vs-simulated comparison over the
 // figure 5-7 sweeps — the structured half of the CI predict-validate gate
-// (the other half is the chaos seed band, predict.ChaosBandShifts).
+// (the other half is the chaos seed band, predict.ChaosBandShifts). The
+// distinct calibrations, then the per-target simulations, run side by
+// side on the run pool; rows are added, and the first error is
+// reported, in target order, as a serial loop over the targets would.
 func FigureErrorTable(o Options) (*predict.ErrorTable, error) {
+	targets := figureTargets()
+	specs := make([]calSpec, len(targets))
+	for i, t := range targets {
+		specs[i] = t.cal(o)
+	}
 	p := newPredictor()
+	calErr := p.calibrate(specs...)
+	type simOutcome struct {
+		bd  rt.Breakdown
+		err error
+	}
 	table := &predict.ErrorTable{}
-	for _, t := range figureTargets() {
-		cal, err := t.cal(p, o)
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", t.experiment, t.label, err)
+	var err error
+	runpool.Ordered(nil, len(targets), func(i int) simOutcome {
+		if p.cals[specs[i].key] == nil {
+			return simOutcome{} // calibration failed: nothing to compare
 		}
-		pred, err := cal.Predict(predict.Target{BlockSize: t.bs})
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", t.experiment, t.label, err)
+		bd, err := targets[i].sim(o)
+		return simOutcome{bd, err}
+	}, func(i int, v simOutcome) bool {
+		t := targets[i]
+		cal := p.cals[specs[i].key]
+		if cal == nil {
+			// Only targets at or past the first failing calibration's
+			// first user find their calibration missing.
+			err = fmt.Errorf("%s %s: %w", t.experiment, t.label, calErr)
+			return false
 		}
-		bd, err := t.sim(o)
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: simulating: %w", t.experiment, t.label, err)
+		pred, perr := cal.Predict(predict.Target{BlockSize: t.bs})
+		if perr != nil {
+			err = fmt.Errorf("%s %s: %w", t.experiment, t.label, perr)
+			return false
 		}
-		table.Add(t.experiment, t.label, t.bs, pred.ElapsedNS, int64(bd.Elapsed))
+		if v.err != nil {
+			err = fmt.Errorf("%s %s: simulating: %w", t.experiment, t.label, v.err)
+			return false
+		}
+		table.Add(t.experiment, t.label, t.bs, pred.ElapsedNS, int64(v.bd.Elapsed))
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return table, nil
 }
@@ -291,9 +362,8 @@ type SweepBench struct {
 // configs-point sweep over block sizes × network presets × node counts,
 // against the measured cost of one full simulation per configuration.
 func PredictSweepBench(o Options, configs int) (*SweepBench, error) {
-	p := newPredictor()
 	start := time.Now()
-	cal, err := p.adaptive(o, rt.ProtoStache)
+	cal, err := adaptiveCal(o, rt.ProtoStache).run()
 	if err != nil {
 		return nil, err
 	}

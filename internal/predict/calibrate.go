@@ -337,6 +337,7 @@ type replayer struct {
 	state    []blkState // per coarse block
 	clocks   []int64
 	idx      []int
+	rep      []uint32 // per participant: repeats of accs[idx] consumed
 	stallAdj []int64
 	heap     []heapEnt
 	written  []uint32
@@ -356,6 +357,7 @@ func newReplayer(c *Calibration, m *rt.Machine, segs []*globalSeg, blocks []uint
 		cmap:     map[uint64]uint32{},
 		clocks:   make([]int64, n0),
 		idx:      make([]int, n0),
+		rep:      make([]uint32, n0),
 		stallAdj: make([]int64, n0),
 		heap:     make([]heapEnt, 0, n0),
 		spanAcc:  make([]int64, np),
@@ -437,7 +439,7 @@ func (r *replayer) replay(k int, sc *shiftCal) {
 		// participants in index order already form a valid heap.
 		h := r.heap[:0]
 		for si := range parts {
-			idx[si], stallAdj[si] = 0, 0
+			idx[si], r.rep[si], stallAdj[si] = 0, 0, 0
 			h = append(h, heapEnt{si: int32(si)})
 		}
 		written := r.written[:0]
@@ -461,9 +463,11 @@ func (r *replayer) replay(k int, sc *shiftCal) {
 					next = h[2]
 				}
 			}
+			rep := r.rep[si]
 			for {
 				bt := segStart + key
-				write := p.accs[x].Write
+				a := &p.accs[x]
+				write := a.Write
 
 				ci := coarse[p.bi[x]]
 				st := &state[ci]
@@ -524,7 +528,22 @@ func (r *replayer) replay(k int, sc *shiftCal) {
 					} else {
 						reads++
 					}
+					// A folded repeat issues after the charged stall and
+					// may fault again, so it competes like any access.
+					if rep < a.More {
+						rep++
+						key += lam
+						if !(heapEnt{key: key, si: si}).less(next) {
+							break
+						}
+						continue
+					}
 				}
+				// A hit changes no state (a read's subscriber bit is
+				// already set) and leaves si's key where it is, so si stays
+				// at the floor and every remaining repeat of the entry hits
+				// too: the whole folded run is consumed in this one step.
+				rep = 0
 				x++
 				if x == len(p.accs) {
 					break
@@ -535,6 +554,7 @@ func (r *replayer) replay(k int, sc *shiftCal) {
 				}
 			}
 			idx[si] = x
+			r.rep[si] = rep
 			if x < len(p.accs) {
 				h[0].key = key
 			} else {

@@ -74,15 +74,18 @@ func oracleShifts(c *Calibration, m *rt.Machine) ([MaxShift + 1]shiftCal, error)
 			if !ok {
 				pi = 0
 			}
-			ns := nodeSeg{node: int32(n), accs: make([]segAccess, len(s.Accs))}
-			for x, a := range s.Accs {
+			ns := nodeSeg{node: int32(n)}
+			for _, a := range s.Accs {
 				bi, ok := blockIdx[uint64(a.Block)]
 				if !ok {
 					bi = uint32(len(blocks))
 					blockIdx[uint64(a.Block)] = bi
 					blocks = append(blocks, uint64(a.Block))
 				}
-				ns.accs[x] = segAccess{dt: int64(a.Run) - int64(s.Accs[0].Run), bi: bi, pi: pi, write: a.Write}
+				// Expand folded repeats: the oracle replays every access.
+				for rep := uint32(0); rep <= a.More; rep++ {
+					ns.accs = append(ns.accs, segAccess{dt: int64(a.Run) - int64(s.Accs[0].Run), bi: bi, pi: pi, write: a.Write})
+				}
 			}
 			gs.nodes = append(gs.nodes, ns)
 		}
@@ -439,5 +442,53 @@ func TestCalibrateRejectsOver64Nodes(t *testing.T) {
 	_, err := Calibrate(m, "wide")
 	if err == nil || !strings.Contains(err.Error(), "at most 64") {
 		t.Fatalf("%d-node calibration: got %v, want the node-count error", MaxNodes+1, err)
+	}
+}
+
+// TestReplayFoldedRepeatRefaults pins the replay of folded repeats on a
+// hand-built trace over four one-block elements homed on nodes 0-3.
+// Node 1 reads block 0 three times at one recorded time (one entry,
+// More = 2). The first read faults; inside its stall window node 2 and
+// then node 3 write the block, and node 3's write leaves node 1 out of
+// the grace set. So the second read, issued after the stall, must
+// re-fault, and the third hits. Consuming the folded run whole after
+// the first fault would miss the second fault.
+func TestReplayFoldedRepeatRefaults(t *testing.T) {
+	m := rt.New(rt.Config{Nodes: 4, BlockSize: 32, Protocol: rt.ProtoStache, Profile: true, Record: true})
+	arr := m.NewArray1D("x", 4, 4, false)
+	var blk [4]memory.Block
+	for i := range blk {
+		blk[i] = m.AS.BlockOf(arr.At(i, 0))
+		if h := m.AS.HomeOf(blk[i]); h != i {
+			t.Fatalf("block %d home %d, want %d", i, h, i)
+		}
+	}
+	node := func(accs ...tempest.Access) *tempest.Node {
+		rec := &tempest.CommRecord{}
+		if len(accs) > 0 {
+			rec.Segments = []tempest.Segment{{Phase: 0, Iter: 0, At: 100, Accs: accs}}
+		}
+		return &tempest.Node{Rec: rec}
+	}
+	m.Nodes = []*tempest.Node{
+		node(tempest.Access{Run: 100, Block: blk[0], More: 4}), // folded hits on its own block
+		node(tempest.Access{Run: 100, Block: blk[0], More: 2}, tempest.Access{Run: 200, Block: blk[1], Write: true}),
+		node(tempest.Access{Run: 102, Block: blk[0], Write: true}),
+		node(tempest.Access{Run: 104, Block: blk[0], Write: true}),
+	}
+	c := &Calibration{Protocol: string(rt.ProtoStache), Nodes: 4, BlockSize: 32, Net: m.Cfg.Net,
+		phases: []phaseCal{{id: -1}, {id: 0}}}
+	want, err := oracleShifts(c, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.buildShifts(m); err != nil {
+		t.Fatal(err)
+	}
+	if got, wantF := c.shifts[0].faults[4:8], []float64{0, 2, 1, 1}; !reflect.DeepEqual(got, wantF) {
+		t.Fatalf("phase 0 faults per node = %v, want %v (the repeat after the stall re-faults)", got, wantF)
+	}
+	if !reflect.DeepEqual(c.shifts, want) {
+		t.Fatal("replay differs from the oracle")
 	}
 }

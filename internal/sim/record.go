@@ -74,9 +74,11 @@ type Edge struct {
 
 // Recorder is a fixed-capacity ring of causality edges shared by all
 // Procs of one kernel. It is written only in dispatch order, so no
-// locking is needed.
+// locking is needed. The ring's storage grows on demand up to its
+// capacity, so a short run pays only for the edges it records.
 type Recorder struct {
 	buf   []Edge
+	cap   int // ring capacity; the ring wraps once len(buf) reaches it
 	next  int
 	total int64
 }
@@ -92,7 +94,7 @@ func (k *Kernel) EnableRecorder(cap int) *Recorder {
 	if cap <= 0 {
 		cap = DefaultRecorderCap
 	}
-	k.rec = &Recorder{buf: make([]Edge, 0, cap)}
+	k.rec = &Recorder{cap: cap}
 	return k.rec
 }
 
@@ -100,11 +102,16 @@ func (k *Kernel) EnableRecorder(cap int) *Recorder {
 func (k *Kernel) Recorder() *Recorder { return k.rec }
 
 func (r *Recorder) push(e Edge) {
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.cap {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Edge, len(r.buf), min(max(2*len(r.buf), 64), r.cap))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
 		r.buf = append(r.buf, e)
 	} else {
 		r.buf[r.next] = e
-		r.next = (r.next + 1) % cap(r.buf)
+		r.next = (r.next + 1) % r.cap
 	}
 	r.total++
 }
@@ -119,7 +126,7 @@ func (r *Recorder) Truncated() bool { return r.total > int64(len(r.buf)) }
 
 // Edges returns the retained edges in dispatch order, oldest first.
 func (r *Recorder) Edges() []Edge {
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.cap {
 		return append([]Edge(nil), r.buf...)
 	}
 	out := make([]Edge, 0, len(r.buf))
